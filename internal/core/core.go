@@ -345,7 +345,9 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	}
 	m := img.NewMachine()
 	m.MaxCycles = r.MaxCycles
-	if ctx != context.Background() {
+	// Only a context that can end is worth polling; Background, TODO and
+	// WithoutCancel contexts have a nil Done channel.
+	if ctx.Done() != nil {
 		m.Ctx = ctx
 	}
 	if r.Observe != nil {

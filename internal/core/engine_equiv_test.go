@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/mipsx"
@@ -42,22 +44,7 @@ func TestEngineEquivalence(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			for _, cfg := range configs {
-				// Granule padding rounds every allocation up to the memtag
-				// granule, so heaps tuned for the untagged 8-byte-pair
-				// layout scale proportionally under coarse granules.
-				heap := p.HeapWords
-				if gb := int(cfg.HW.MemtagGranuleBytes()); heap > 0 && cfg.HW.Normalized().Memtag && gb > 8 {
-					heap = heap * gb / 8
-				}
-				img, err := rt.Build(p.Source, rt.BuildOptions{
-					Scheme:    cfg.Scheme,
-					HW:        cfg.HW,
-					Checking:  cfg.Checking,
-					HeapWords: heap,
-				})
-				if err != nil {
-					t.Fatalf("%s: build: %v", cfg, err)
-				}
+				img := buildEquivImage(t, p, cfg)
 
 				ref := img.NewMachine()
 				ref.MaxCycles = 2_000_000_000
@@ -104,6 +91,92 @@ func TestEngineEquivalence(t *testing.T) {
 					}
 					if engine == mipsx.EngineNative && m.Native.Fallbacks != 0 {
 						t.Errorf("%s: native engine fell back to another engine", cfg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// buildEquivImage builds p under cfg for the engine differential tests.
+// Granule padding rounds every allocation up to the memtag granule, so
+// heaps tuned for the untagged 8-byte-pair layout scale proportionally
+// under coarse granules.
+func buildEquivImage(t *testing.T, p *programs.Program, cfg Config) *rt.Image {
+	t.Helper()
+	heap := p.HeapWords
+	if gb := int(cfg.HW.MemtagGranuleBytes()); heap > 0 && cfg.HW.Normalized().Memtag && gb > 8 {
+		heap = heap * gb / 8
+	}
+	img, err := rt.Build(p.Source, rt.BuildOptions{
+		Scheme:    cfg.Scheme,
+		HW:        cfg.HW,
+		Checking:  cfg.Checking,
+		HeapWords: heap,
+	})
+	if err != nil {
+		t.Fatalf("%s: build: %v", cfg, err)
+	}
+	return img
+}
+
+// TestEngineLiveCtxIdentical pins that the translated and native engines
+// run a cancelable machine on themselves and that polling costs nothing
+// observable: with a Ctx that never fires, every program's Stats,
+// registers, PC and output are bit-identical to the run without one, and
+// a cycle-limit fault halfway through lands at the same PC and cycle.
+func TestEngineLiveCtxIdentical(t *testing.T) {
+	var configs []Config
+	for _, s := range []string{"high5+check", "low3+check", "high5+check+memtag"} {
+		cfg, err := ParseConfig(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		configs = append(configs, cfg)
+	}
+	if testing.Short() {
+		configs = configs[:1]
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, p := range programs.All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			for _, cfg := range configs {
+				img := buildEquivImage(t, p, cfg)
+				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative} {
+					run := func(ctx context.Context, maxCycles uint64) (*mipsx.Machine, error) {
+						m := img.NewMachine()
+						m.MaxCycles = maxCycles
+						m.Ctx = ctx
+						err := m.RunEngine(engine)
+						if m.Trans.Fallbacks != 0 || m.Native.Fallbacks != 0 {
+							t.Errorf("%s/%s: fell back to another engine (ctx %v)", cfg, engine, ctx != nil)
+						}
+						return m, err
+					}
+					bare, err := run(nil, 2_000_000_000)
+					if err != nil {
+						t.Fatalf("%s/%s: run: %v", cfg, engine, err)
+					}
+					live, err := run(ctx, 2_000_000_000)
+					if err != nil {
+						t.Fatalf("%s/%s: run with live ctx: %v", cfg, engine, err)
+					}
+					if live.Stats != bare.Stats || live.Regs != bare.Regs || live.PC != bare.PC ||
+						live.Output.String() != bare.Output.String() {
+						t.Errorf("%s/%s: live ctx changed the run:\nctx: %+v\nnil: %+v", cfg, engine, live.Stats, bare.Stats)
+					}
+
+					limit := bare.Stats.Cycles / 2
+					bm, bareErr := run(nil, limit)
+					lm, liveErr := run(ctx, limit)
+					var bf, lf *mipsx.Fault
+					if !errors.As(bareErr, &bf) || !errors.As(liveErr, &lf) {
+						t.Fatalf("%s/%s: limit %d: errors %v / %v, want cycle-limit faults", cfg, engine, limit, bareErr, liveErr)
+					}
+					if *bf != *lf || bm.Stats != lm.Stats {
+						t.Errorf("%s/%s: limit fault with live ctx %+v, without %+v", cfg, engine, *lf, *bf)
 					}
 				}
 			}

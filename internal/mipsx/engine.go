@@ -11,8 +11,9 @@ const (
 	// EngineTranslated is the basic-block translation engine (translate.go):
 	// the predecoded stream is cut into straight-line blocks, recurring tag
 	// idioms are fused into superinstructions, and translated blocks are
-	// cached and chained. Falls back to the fused loop when an Observer or
-	// Ctx is attached.
+	// cached and chained. Honours MaxCycles and Ctx itself; falls back to
+	// the fused loop only when an Observer is attached or the machine is
+	// stopped mid-pipeline.
 	EngineTranslated Engine = iota
 	// EngineFused is the fused single-dispatch loop (fused.go).
 	EngineFused
@@ -21,10 +22,10 @@ const (
 	// EngineNative is the closure-threaded engine (native.go): translated
 	// blocks are compiled into chains of Go closures specialized on the
 	// active hardware config, and hot chained-block paths are flattened
-	// into superblocks executed with a single counter increment. Falls
-	// back like the translated engine, and additionally to the translated
-	// engine when the program is already natively compiled for a different
-	// hardware config.
+	// into superblocks executed with a single counter increment. Honours
+	// Ctx and falls back like the translated engine, and additionally to
+	// the translated engine when the program is already natively compiled
+	// for a different hardware config.
 	EngineNative
 )
 
@@ -66,8 +67,8 @@ func ParseEngine(s string) (Engine, error) {
 // and output; they differ only in speed and in observability (the
 // reference engine emits per-instruction events, the fused loop emits
 // control-flow events, the translated and native engines emit none and
-// transparently fall back to the fused loop when an Observer or Ctx is
-// attached).
+// transparently fall back to the fused loop when an Observer is
+// attached). Every engine honours MaxCycles and Ctx cancellation.
 func (m *Machine) RunEngine(e Engine) error {
 	switch e {
 	case EngineFused:
@@ -85,8 +86,9 @@ func (m *Machine) RunEngine(e Engine) error {
 // runs: how many blocks this machine translated (first executions of a
 // block populate the program-wide cache), how many block transitions were
 // served by a direct chain pointer, how many RunTranslated calls fell back
-// to the fused loop, and the dispatch-step mix (FusedSteps of Steps were
-// superinstructions covering two source instructions).
+// to the fused loop (Observer attached or pipeline mid-flight), and the
+// dispatch-step mix (FusedSteps of Steps were superinstructions covering
+// two source instructions).
 type TransStats struct {
 	Translated uint64 `json:"translated"`  // blocks translated into the program's cache by this machine
 	BlockRuns  uint64 `json:"block_runs"`  // completed basic-block executions

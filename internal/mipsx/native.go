@@ -15,10 +15,14 @@ package mipsx
 // engines stay bit-identical in Stats, registers, memory, output and
 // faults.
 //
-// Fallbacks mirror the translated engine's: an attached Observer or Ctx,
-// or a machine stopped mid-pipeline, delegates to the fused loop; a
-// program already natively compiled for a different hardware config
-// delegates to the translated engine rather than recompiling.
+// MaxCycles and Ctx cancellation share the translated engine's folded
+// limit test (cycleLimit/pollLimit), including the superblock entry
+// guard, so a canceled run stops where no pipeline state is pending.
+//
+// Fallbacks mirror the translated engine's: an attached Observer or a
+// machine stopped mid-pipeline delegates to the fused loop; a program
+// already natively compiled for a different hardware config delegates to
+// the translated engine rather than recompiling.
 
 import (
 	"strconv"
@@ -29,8 +33,7 @@ import (
 // MaxCycles, using the native compilation shared across all machines
 // running the same Program under the same hardware config.
 func (m *Machine) RunNative() error {
-	if m.Obs != nil || m.Ctx != nil || m.pendCount != 0 || m.pendSquash ||
-		m.lastLoadReg != RZero {
+	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
 		m.Native.Fallbacks++
 		return m.Run()
 	}
@@ -44,7 +47,6 @@ func (m *Machine) RunNative() error {
 	sp := &np.spec
 	dec := p.dec
 	mem := m.Mem
-	maxCycles := m.MaxCycles
 	stats := &m.Stats
 
 	// Working register file, as in the translated engine: 32 architectural
@@ -57,6 +59,10 @@ func (m *Machine) RunNative() error {
 	pc := m.PC
 	cycles := stats.Cycles
 	instrs := stats.Instrs
+	// The folded MaxCycles/cancellation threshold, as in RunTranslated.
+	limit := m.cycleLimit(cycles)
+	var over bool
+	var cancelErr error
 
 	if len(m.execCounts) < len(dec) {
 		m.execCounts = make([]uint64, len(dec))
@@ -102,9 +108,10 @@ loop:
 
 		// Superblock fast path: enter only when even the most expensive
 		// path through the stream cannot cross the cycle limit, so the
-		// stream itself needs no limit checks; near the limit the per-block
-		// path below faults exactly where the translated engine would.
-		if sb := bn.sb.Load(); sb != nil && (maxCycles == 0 || cycles+sb.maxCyc <= maxCycles) {
+		// stream itself needs no limit checks; near the limit (or a
+		// cancellation poll point) the per-block path below faults or
+		// polls exactly where the translated engine would.
+		if sb := bn.sb.Load(); sb != nil && cycles+sb.maxCyc <= limit {
 			st.exit = nexNone
 			var idx int
 			if ch := sb.chain; ch != nil {
@@ -300,9 +307,13 @@ loop:
 			failf, failargs = st.failf, st.failargs
 			break loop
 		}
-		if maxCycles != 0 && cycles > maxCycles {
-			failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-			break loop
+		if cycles > limit {
+			if limit, over, cancelErr = m.pollLimit(cycles); over {
+				failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+				break loop
+			} else if cancelErr != nil {
+				break loop
+			}
 		}
 		b = nil
 		continue loop
@@ -402,9 +413,13 @@ loop:
 					}
 					cycles += sp.trapCycles
 					pc = int(mem[TrapPCAddr>>2])
-					if maxCycles != 0 && cycles > maxCycles {
-						failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-						break loop
+					if cycles > limit {
+						if limit, over, cancelErr = m.pollLimit(cycles); over {
+							failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+							break loop
+						} else if cancelErr != nil {
+							break loop
+						}
 					}
 					b = nil
 					continue loop
@@ -461,36 +476,44 @@ loop:
 				if condTaken {
 					o = &t.taken
 				}
-				if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-					// Reconstruct the exact machine state the fused loop has
-					// at its limit check: branch dispatched (and NOP slots
-					// consumed), delay slots still pending otherwise.
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						if condTaken {
-							counts[t.pc+1]++
-							counts[t.pc+2]++
-							pc = int(o.nextPC)
-						} else {
-							if o.annul {
-								squashed += 2
-							} else {
+				if cycles+o.checkCyc > limit {
+					if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+						// Canceled at a poll point: stop at the branch, before
+						// it dispatches, leaving no pipeline state pending.
+						pc = int(t.pc)
+						break loop
+					}
+					if over {
+						// Reconstruct the exact machine state the fused loop has
+						// at its limit check: branch dispatched (and NOP slots
+						// consumed), delay slots still pending otherwise.
+						counts[t.pc]++
+						cycles += o.checkCyc
+						if t.slotsNop {
+							if condTaken {
 								counts[t.pc+1]++
 								counts[t.pc+2]++
+								pc = int(o.nextPC)
+							} else {
+								if o.annul {
+									squashed += 2
+								} else {
+									counts[t.pc+1]++
+									counts[t.pc+2]++
+								}
+								pc = int(t.pc) + 3
 							}
-							pc = int(t.pc) + 3
+						} else {
+							pc = int(t.pc) + 1
+							if condTaken {
+								pendTarget, pendCount = int(t.target), delaySlots
+							} else if o.annul {
+								pendTarget, pendCount, pendSquash = -1, delaySlots, true
+							}
 						}
-					} else {
-						pc = int(t.pc) + 1
-						if condTaken {
-							pendTarget, pendCount = int(t.target), delaySlots
-						} else if o.annul {
-							pendTarget, pendCount, pendSquash = -1, delaySlots, true
-						}
+						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+						break loop
 					}
-					failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-					break loop
 				}
 				if o.annul || t.slotsNop {
 					cycles += o.cyc
@@ -556,19 +579,27 @@ loop:
 					r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 				}
 				o = &t.taken
-				if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						counts[t.pc+1]++
-						counts[t.pc+2]++
-						pc = int(o.nextPC)
-					} else {
-						pc = int(t.pc) + 1
-						pendTarget, pendCount = int(t.target), delaySlots
+				if cycles+o.checkCyc > limit {
+					if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+						// Canceled at a poll point: stop at the branch, before
+						// it dispatches, leaving no pipeline state pending.
+						pc = int(t.pc)
+						break loop
 					}
-					failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-					break loop
+					if over {
+						counts[t.pc]++
+						cycles += o.checkCyc
+						if t.slotsNop {
+							counts[t.pc+1]++
+							counts[t.pc+2]++
+							pc = int(o.nextPC)
+						} else {
+							pc = int(t.pc) + 1
+							pendTarget, pendCount = int(t.target), delaySlots
+						}
+						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+						break loop
+					}
 				}
 				if !t.slotsNop {
 					pendT = int(t.target)
@@ -612,19 +643,27 @@ loop:
 					r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 				}
 				o = &t.taken
-				if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						counts[t.pc+1]++
-						counts[t.pc+2]++
-						pc = itgt
-					} else {
-						pc = int(t.pc) + 1
-						pendTarget, pendCount = itgt, delaySlots
+				if cycles+o.checkCyc > limit {
+					if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+						// Canceled at a poll point: stop at the branch, before
+						// it dispatches, leaving no pipeline state pending.
+						pc = int(t.pc)
+						break loop
 					}
-					failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-					break loop
+					if over {
+						counts[t.pc]++
+						cycles += o.checkCyc
+						if t.slotsNop {
+							counts[t.pc+1]++
+							counts[t.pc+2]++
+							pc = itgt
+						} else {
+							pc = int(t.pc) + 1
+							pendTarget, pendCount = itgt, delaySlots
+						}
+						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+						break loop
+					}
 				}
 				if !t.slotsNop {
 					pendT = itgt
@@ -672,8 +711,10 @@ loop:
 				m.pendTarget, m.pendCount, m.pendSquash = pendTarget, pendCount, pendSquash
 				stats.Cycles, stats.Instrs = cycles, instrs
 				err := m.Step()
-				if err == nil && maxCycles != 0 && stats.Cycles > maxCycles {
-					failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
+				if err == nil && stats.Cycles > limit {
+					if limit, over, cancelErr = m.pollLimit(stats.Cycles); over {
+						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					}
 				}
 				if err == nil && failf == "" {
 					for (m.pendCount > 0 || m.pendSquash) && !m.halted {
@@ -707,6 +748,9 @@ loop:
 					}
 					m.lastLoadReg = RZero
 				}
+				if cancelErr != nil {
+					break loop
+				}
 				b = nil
 			}
 		}
@@ -729,6 +773,9 @@ flush:
 	}
 	if failf != "" {
 		return m.fault(failf, failargs...)
+	}
+	if cancelErr != nil && !halted {
+		return &Canceled{Cycle: stats.Cycles, Err: cancelErr}
 	}
 	if stats.ErrorCode != 0 {
 		return &RuntimeError{Code: stats.ErrorCode, Item: stats.ErrorItem}

@@ -88,11 +88,43 @@ func (c *Canceled) Error() string {
 func (c *Canceled) Unwrap() error { return c.Err }
 
 // cancelCheckCycles is how many simulated cycles may pass between two
-// polls of Machine.Ctx. At the fused engine's throughput (hundreds of
+// polls of Machine.Ctx. At every engine's throughput (hundreds of
 // simulated Mcycles per wall second) 64K cycles bounds cancellation
 // latency to well under a millisecond while keeping the poll off the
 // per-control-transfer path.
 const cancelCheckCycles = 1 << 16
+
+// cycleLimit is the single threshold the translated and native engines
+// compare the cycle count against at control transfers and trap entries:
+// MaxCycles (no limit when 0) or, with a Ctx attached, the cancellation
+// poll point poll, whichever comes first. Folding both into one compare
+// keeps cancellation off the dispatch path entirely.
+func (m *Machine) cycleLimit(poll uint64) uint64 {
+	limit := m.MaxCycles
+	if limit == 0 {
+		limit = math.MaxUint64
+	}
+	if m.Ctx != nil && poll < limit {
+		limit = poll
+	}
+	return limit
+}
+
+// pollLimit is the cold path of the block engines' folded cycle test,
+// entered once cycles has crossed the current cycleLimit. over reports
+// that MaxCycles itself was exceeded (the caller raises the cycle-limit
+// fault). Otherwise the crossing was a poll point, which cycleLimit sets
+// only with a Ctx attached: err is Ctx's error when the run must stop,
+// and next the threshold to test from here on.
+func (m *Machine) pollLimit(cycles uint64) (next uint64, over bool, err error) {
+	if m.MaxCycles != 0 && cycles > m.MaxCycles {
+		return 0, true, nil
+	}
+	if err := m.Ctx.Err(); err != nil {
+		return 0, false, err
+	}
+	return m.cycleLimit(cycles + cancelCheckCycles), false, nil
+}
 
 // Machine executes a Program against a word-addressed memory.
 type Machine struct {
@@ -108,11 +140,13 @@ type Machine struct {
 	// MaxCycles aborts runaway programs; 0 means no limit.
 	MaxCycles uint64
 
-	// Ctx, when non-nil, makes the run cancelable: both engines poll
+	// Ctx, when non-nil, makes the run cancelable: every engine polls
 	// Ctx.Err() at control transfers, at most once per cancelCheckCycles
-	// simulated cycles, and abort with a *Canceled error once it is
-	// non-nil. A nil Ctx costs the fused loop one integer compare per
-	// control transfer and nothing on the straight-line path.
+	// simulated cycles, and aborts with a *Canceled error once it is
+	// non-nil. The translated and native engines fold the poll point into
+	// their MaxCycles test (cycleLimit), so a Ctx costs them nothing per
+	// step or per block; a nil Ctx costs the fused loop one integer
+	// compare per control transfer and nothing on the straight-line path.
 	Ctx context.Context
 
 	// Obs, when non-nil, receives execution events from both engines: the

@@ -33,10 +33,19 @@ package mipsx
 //     (nested control, checked accesses, SYS — or slots past the end of
 //     the stream) are delegated to the reference stepper (termInterp).
 //
+// MaxCycles and cancellation share one test: limit is the earlier of
+// MaxCycles and the next Ctx poll point (cycleLimit), compared at control
+// transfers and trap entries exactly where the MaxCycles test alone used
+// to be. Crossing it enters pollLimit, which faults past MaxCycles, stops
+// with *Canceled when Ctx is done, or advances limit. A canceled run stops
+// where no pipeline state is pending: at a terminator before its branch
+// dispatches, at a trap entry, or after a delegated transfer's delay
+// slots drain.
+//
 // The engine transparently falls back to the fused loop when an Observer
-// or Ctx is attached (tracing and cancellation keep working) or when the
-// machine stops mid-pipeline (pending branch or interlock from a prior
-// Step), so it never needs to model resumed pipeline state.
+// is attached (tracing keeps working) or when the machine stops
+// mid-pipeline (pending branch or interlock from a prior Step), so it
+// never needs to model resumed pipeline state.
 
 import (
 	"math"
@@ -48,8 +57,7 @@ import (
 // MaxCycles, using the translated-block cache shared across all machines
 // running the same Program.
 func (m *Machine) RunTranslated() error {
-	if m.Obs != nil || m.Ctx != nil || m.pendCount != 0 || m.pendSquash ||
-		m.lastLoadReg != RZero {
+	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
 		m.Trans.Fallbacks++
 		return m.Run()
 	}
@@ -62,7 +70,6 @@ func (m *Machine) RunTranslated() error {
 	isIntItem := m.HW.IsIntItem
 	trapCycles := m.HW.TrapCycles
 	memtagBase, memtagShift, memtagLimit := m.HW.MemtagBase, m.HW.MemtagShift, m.HW.MemtagLimit
-	maxCycles := m.MaxCycles
 	st := &m.Stats
 
 	// The working register file: the 32 architectural registers plus the
@@ -78,6 +85,11 @@ func (m *Machine) RunTranslated() error {
 	pc := m.PC
 	cycles := st.Cycles
 	instrs := st.Instrs
+	// The folded MaxCycles/cancellation threshold; with a Ctx attached the
+	// first control transfer polls, so a pre-canceled run stops at once.
+	limit := m.cycleLimit(cycles)
+	var over bool
+	var cancelErr error
 
 	if len(m.execCounts) < len(dec) {
 		m.execCounts = make([]uint64, len(dec))
@@ -285,9 +297,13 @@ loop:
 					cycles += trapCycles
 					st.Traps++
 					pc = m.HW.CheckFailHandler
-					if maxCycles != 0 && cycles > maxCycles {
-						failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-						break loop
+					if cycles > limit {
+						if limit, over, cancelErr = m.pollLimit(cycles); over {
+							failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+							break loop
+						} else if cancelErr != nil {
+							break loop
+						}
 					}
 					b = nil
 					continue loop
@@ -352,9 +368,13 @@ loop:
 						cycles += trapCycles
 						st.Traps++
 						pc = m.HW.MemtagFailHandler
-						if maxCycles != 0 && cycles > maxCycles {
-							failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-							break loop
+						if cycles > limit {
+							if limit, over, cancelErr = m.pollLimit(cycles); over {
+								failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+								break loop
+							} else if cancelErr != nil {
+								break loop
+							}
 						}
 						b = nil
 						continue loop
@@ -411,9 +431,13 @@ loop:
 					cycles += trapCycles
 					st.Traps++
 					pc = m.HW.TrapHandler
-					if maxCycles != 0 && cycles > maxCycles {
-						failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-						break loop
+					if cycles > limit {
+						if limit, over, cancelErr = m.pollLimit(cycles); over {
+							failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+							break loop
+						} else if cancelErr != nil {
+							break loop
+						}
 					}
 					b = nil
 					continue loop
@@ -914,9 +938,13 @@ loop:
 				}
 				cycles += trapCycles
 				pc = int(mem[TrapPCAddr>>2])
-				if maxCycles != 0 && cycles > maxCycles {
-					failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-					break loop
+				if cycles > limit {
+					if limit, over, cancelErr = m.pollLimit(cycles); over {
+						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+						break loop
+					} else if cancelErr != nil {
+						break loop
+					}
 				}
 				b = nil
 				continue loop
@@ -973,36 +1001,44 @@ loop:
 			if taken {
 				o = &t.taken
 			}
-			if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-				// Reconstruct the exact machine state the fused loop has at
-				// its limit check: branch dispatched (and NOP slots
-				// consumed), delay slots still pending otherwise.
-				counts[t.pc]++
-				cycles += o.checkCyc
-				if t.slotsNop {
-					if taken {
-						counts[t.pc+1]++
-						counts[t.pc+2]++
-						pc = int(o.nextPC)
-					} else {
-						if o.annul {
-							squashed += 2
-						} else {
+			if cycles+o.checkCyc > limit {
+				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+					// Canceled at a poll point: stop at the branch, before
+					// it dispatches, leaving no pipeline state pending.
+					pc = int(t.pc)
+					break loop
+				}
+				if over {
+					// Reconstruct the exact machine state the fused loop has at
+					// its limit check: branch dispatched (and NOP slots
+					// consumed), delay slots still pending otherwise.
+					counts[t.pc]++
+					cycles += o.checkCyc
+					if t.slotsNop {
+						if taken {
 							counts[t.pc+1]++
 							counts[t.pc+2]++
+							pc = int(o.nextPC)
+						} else {
+							if o.annul {
+								squashed += 2
+							} else {
+								counts[t.pc+1]++
+								counts[t.pc+2]++
+							}
+							pc = int(t.pc) + 3
 						}
-						pc = int(t.pc) + 3
+					} else {
+						pc = int(t.pc) + 1
+						if taken {
+							pendTarget, pendCount = int(t.target), delaySlots
+						} else if o.annul {
+							pendTarget, pendCount, pendSquash = -1, delaySlots, true
+						}
 					}
-				} else {
-					pc = int(t.pc) + 1
-					if taken {
-						pendTarget, pendCount = int(t.target), delaySlots
-					} else if o.annul {
-						pendTarget, pendCount, pendSquash = -1, delaySlots, true
-					}
+					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					break loop
 				}
-				failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-				break loop
 			}
 			if o.annul || t.slotsNop {
 				// No slot work (annulled or NOP slots): complete the
@@ -1049,19 +1085,27 @@ loop:
 				r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 			}
 			o = &t.taken
-			if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-				counts[t.pc]++
-				cycles += o.checkCyc
-				if t.slotsNop {
-					counts[t.pc+1]++
-					counts[t.pc+2]++
-					pc = int(o.nextPC)
-				} else {
-					pc = int(t.pc) + 1
-					pendTarget, pendCount = int(t.target), delaySlots
+			if cycles+o.checkCyc > limit {
+				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+					// Canceled at a poll point: stop at the branch, before
+					// it dispatches, leaving no pipeline state pending.
+					pc = int(t.pc)
+					break loop
 				}
-				failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-				break loop
+				if over {
+					counts[t.pc]++
+					cycles += o.checkCyc
+					if t.slotsNop {
+						counts[t.pc+1]++
+						counts[t.pc+2]++
+						pc = int(o.nextPC)
+					} else {
+						pc = int(t.pc) + 1
+						pendTarget, pendCount = int(t.target), delaySlots
+					}
+					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					break loop
+				}
 			}
 			if t.slotsNop {
 				cycles += o.cyc
@@ -1107,19 +1151,27 @@ loop:
 				r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 			}
 			o = &t.taken
-			if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-				counts[t.pc]++
-				cycles += o.checkCyc
-				if t.slotsNop {
-					counts[t.pc+1]++
-					counts[t.pc+2]++
-					pc = itgt
-				} else {
-					pc = int(t.pc) + 1
-					pendTarget, pendCount = itgt, delaySlots
+			if cycles+o.checkCyc > limit {
+				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+					// Canceled at a poll point: stop at the branch, before
+					// it dispatches, leaving no pipeline state pending.
+					pc = int(t.pc)
+					break loop
 				}
-				failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
-				break loop
+				if over {
+					counts[t.pc]++
+					cycles += o.checkCyc
+					if t.slotsNop {
+						counts[t.pc+1]++
+						counts[t.pc+2]++
+						pc = itgt
+					} else {
+						pc = int(t.pc) + 1
+						pendTarget, pendCount = itgt, delaySlots
+					}
+					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					break loop
+				}
 			}
 			if t.slotsNop {
 				// NOP slots cannot hold the load whose interlock the
@@ -1163,10 +1215,13 @@ loop:
 			m.pendTarget, m.pendCount, m.pendSquash = pendTarget, pendCount, pendSquash
 			st.Cycles, st.Instrs = cycles, instrs
 			err := m.Step()
-			if err == nil && maxCycles != 0 && st.Cycles > maxCycles {
+			if err == nil && st.Cycles > limit {
 				// The fused loop checks the limit right after dispatching
-				// the transfer.
-				failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
+				// the transfer. A cancellation seen here stops the run
+				// only once the delay slots have drained (below).
+				if limit, over, cancelErr = m.pollLimit(st.Cycles); over {
+					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+				}
 			}
 			if err == nil && failf == "" {
 				for (m.pendCount > 0 || m.pendSquash) && !m.halted {
@@ -1201,6 +1256,9 @@ loop:
 					}
 				}
 				m.lastLoadReg = RZero
+			}
+			if cancelErr != nil {
+				break loop
 			}
 			b = nil
 		}
@@ -1270,6 +1328,9 @@ flush:
 	}
 	if failf != "" {
 		return m.fault(failf, failargs...)
+	}
+	if cancelErr != nil && !halted {
+		return &Canceled{Cycle: st.Cycles, Err: cancelErr}
 	}
 	if st.ErrorCode != 0 {
 		return &RuntimeError{Code: st.ErrorCode, Item: st.ErrorItem}

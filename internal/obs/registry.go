@@ -84,8 +84,8 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 // RecordTrans folds one machine's translation-engine counters into the
 // registry. Every field is zero when the run used another engine, so
 // callers can record unconditionally; a Fallbacks increment marks a
-// translated run that delegated to the fused loop (observer or context
-// attached) rather than a failure.
+// translated run that delegated to the fused loop (observer attached or
+// machine stopped mid-pipeline) rather than a failure.
 func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 	g.Add("engine_blocks_translated_total", tr.Translated)
 	g.Add("engine_block_runs_total", tr.BlockRuns)
@@ -98,8 +98,9 @@ func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 // RecordNative folds one machine's native-engine counters into the
 // registry. As with RecordTrans, every field is zero when the run used
 // another engine; a Fallbacks increment marks a native run that delegated
-// to the fused loop (observer or context attached) or to the translated
-// engine (program compiled for a different hardware config).
+// to the fused loop (observer attached or machine stopped mid-pipeline)
+// or to the translated engine (program compiled for a different hardware
+// config).
 func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
 	g.Add("native_blocks_compiled_total", ns.Compiled)
 	g.Add("native_block_runs_total", ns.BlockRuns)

@@ -2,10 +2,11 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -395,12 +396,13 @@ func writeEvent(w io.Writer, event string, v any) {
 
 // inlineProgram wraps ad-hoc source as an anonymous program. The name is
 // content-addressed so the runner's result cache keys distinct sources
-// distinctly and replays of the same source hit.
+// distinctly and replays of the same source hit. The address is SHA-256:
+// a non-cryptographic hash would let a client craft a colliding source
+// and be served another client's cached result.
 func inlineProgram(src string) *programs.Program {
-	h := fnv.New64a()
-	h.Write([]byte(src))
+	sum := sha256.Sum256([]byte(src))
 	return &programs.Program{
-		Name:        fmt.Sprintf("inline-%016x", h.Sum64()),
+		Name:        "inline-" + hex.EncodeToString(sum[:]),
 		Description: "inline source",
 		Source:      src,
 	}

@@ -22,12 +22,12 @@
 //
 // Production shape: admission control over a bounded queue (overload →
 // 429 + a Retry-After computed from queue depth and observed run
-// latency), per-request deadlines propagated through context into the
-// simulator's fused loop, an LRU result cache shared with Prewarm and
-// keyed on Config.Key, request IDs propagated or minted per request,
-// structured request logs, per-route latency histograms, and graceful
-// drain for SIGTERM (in-flight requests — streaming sweeps included —
-// run to completion).
+// latency), per-request deadlines propagated through context into
+// whichever simulator engine the request selected, an LRU result cache
+// shared with Prewarm and keyed on Config.Key, request IDs propagated or
+// minted per request, structured request logs, per-route latency
+// histograms, and graceful drain for SIGTERM (in-flight requests —
+// streaming sweeps included — run to completion).
 package server
 
 import (

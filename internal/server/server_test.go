@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +224,39 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunExecutesOnRequestedEngine pins the service path: every request
+// carries a deadline context into the simulator, and the translated and
+// native engines must honour it themselves instead of delegating the run
+// to the fused loop.
+func TestRunExecutesOnRequestedEngine(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	for _, tc := range []struct {
+		engine, counter, blockRuns string
+		body                       map[string]any
+	}{
+		{"translated", "runs_engine_total/translated", "engine_block_runs_total",
+			map[string]any{"program": "comp", "config": "high5+check", "timeout_ms": 60_000}},
+		{"native", "runs_engine_total/native", "native_block_runs_total",
+			map[string]any{"program": "trav", "config": "low3+check", "engine": "native", "timeout_ms": 60_000}},
+	} {
+		before := counters(t, ts.URL)
+		if resp, body := postJSON(t, ts.URL+"/v1/run", tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s run: status %d: %s", tc.engine, resp.StatusCode, body)
+		}
+		after := counters(t, ts.URL)
+		for _, name := range []string{"engine_fallbacks_total", "native_fallbacks_total"} {
+			if after[name] != before[name] {
+				t.Errorf("%s run: %s grew %d → %d (the run fell back)", tc.engine, name, before[name], after[name])
+			}
+		}
+		for _, name := range []string{tc.counter, tc.blockRuns} {
+			if after[name] <= before[name] {
+				t.Errorf("%s run: %s did not grow (%d → %d)", tc.engine, name, before[name], after[name])
+			}
+		}
+	}
+}
+
 // TestOverloadReturns429 floods a 1-slot, 1-queue server: the burst must
 // produce 429s with Retry-After while the admitted requests proceed.
 func TestOverloadReturns429(t *testing.T) {
@@ -290,7 +324,8 @@ func TestOverloadReturns429(t *testing.T) {
 
 // TestDeadlineStopsSimulationMidRun sends a request whose deadline is far
 // shorter than the simulation: the server must answer 504 quickly, having
-// stopped the fused loop mid-run, and must not cache the partial result.
+// stopped the default (translated) engine mid-run, and must not cache the
+// partial result.
 func TestDeadlineStopsSimulationMidRun(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	start := time.Now()
@@ -366,5 +401,23 @@ func TestConfigSpecForms(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`"durian5"`), &c); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestInlineProgramName pins the content address of inline sources: it
+// is stable for one source, distinct for sources one byte apart, and a
+// full SHA-256 digest behind the inline- prefix.
+func TestInlineProgramName(t *testing.T) {
+	a := inlineProgram("(defun main () 1)").Name
+	if again := inlineProgram("(defun main () 1)").Name; again != a {
+		t.Errorf("same source named %s, then %s", a, again)
+	}
+	for _, other := range []string{"(defun main () 2)", "(defun main () 1) ", "(defun main () 1"} {
+		if b := inlineProgram(other).Name; b == a {
+			t.Errorf("sources %q and %q share the name %s", "(defun main () 1)", other, a)
+		}
+	}
+	if !strings.HasPrefix(a, "inline-") || len(a) != len("inline-")+64 {
+		t.Errorf("name %s, want inline- and 64 hex digits", a)
 	}
 }

@@ -39,6 +39,22 @@ curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+memtag"}'
 # elision and the exit-site expansion end to end).
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+check","engine":"native"}' >/dev/null
 
+# Every request carries a deadline into the simulator, and the translated
+# and native engines must honour it themselves rather than hand the run
+# to the fused loop. A default-engine and a native run of pairs the
+# prewarm did not cache must execute on those engines and leave both
+# fallback counters at zero.
+curl -fsS -X POST "$BASE/v1/run" -d '{"program":"trav","config":"low3+check"}' >/dev/null
+curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"low3+check","engine":"native"}' >/dev/null
+curl -fsS "$BASE/metrics" | python3 -c '
+import json, sys
+c = json.load(sys.stdin)["counters"]
+bad = [k + "=" + str(c.get(k, 0)) for k in ("engine_fallbacks_total", "native_fallbacks_total") if c.get(k, 0) != 0]
+bad += [k + "=0" for k in ("runs_engine_total/translated", "runs_engine_total/native") if c.get(k, 0) == 0]
+if bad:
+    sys.exit("engine selection lost on the service path: " + ", ".join(bad))
+'
+
 # One bounded scheme search so the search_* families are live.
 curl -fsS -X POST "$BASE/v1/search" \
     -d '{"budget":40,"top_k":3,"programs":["comp"],"variants":["check"]}' \
