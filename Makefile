@@ -27,16 +27,16 @@ smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Archive a throughput run (all four engines) as BENCH_<n>.json at the
+# Archive a throughput run (all three engines) as BENCH_<n>.json at the
 # repo root, picking the lowest unused index, and print each engine's
 # geomean speedup over the most recent archived baseline.
 .PHONY: bench-json
 bench-json:
 	$(GO) run ./cmd/benchjson
 
-# Per-engine throughput comparison: runs BenchmarkPrograms under all four
+# Per-engine throughput comparison: runs BenchmarkPrograms under all three
 # engines at BENCHTIME iterations each, prints Minstr/s side by side with
-# the native/translated and translated/fused speedups, and archives the
+# the native/translated and translated/reference speedups, and archives the
 # run as BENCH_<n>.json.
 BENCHTIME ?= 3x
 .PHONY: bench-compare
@@ -44,7 +44,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME)
 
 # CI bench smoke: a short BenchmarkEngine pass that fails if the translated
-# engine is slower than the fused loop or the native engine falls under
+# engine falls under 2.0x the reference engine or the native engine under
 # 1.5x the translated one (geomean over the programs).
 .PHONY: bench-smoke
 bench-smoke:
@@ -79,7 +79,7 @@ fuzz-sweep:
 
 # Memory-tagging safety oracle, both directions on fixed seeds: every
 # generated torture program (use-after-free, out-of-granule, past-extent)
-# must raise a memtag fault on all four engines, and every benchmark
+# must raise a memtag fault on all three engines, and every benchmark
 # program must run clean under every memtag configuration. The pinned
 # reproducer corpus is re-verified too.
 .PHONY: memtag-smoke

@@ -21,7 +21,7 @@ import (
 )
 
 // TestMain applies the SIM_SBOPT superblock ablation list ("noelide,
-// norefuse,noregcache") before any benchmark runs, so per-optimization
+// norefuse") before any benchmark runs, so per-optimization
 // numbers come from the same binary.
 func TestMain(m *testing.M) {
 	opt, err := mipsx.ParseSBOpt(os.Getenv("SIM_SBOPT"))
@@ -231,7 +231,7 @@ func benchPrograms(b *testing.B, engine mipsx.Engine) {
 
 // BenchmarkPrograms measures raw simulation throughput per program on the
 // baseline configuration (a property of this reproduction, not the paper).
-// Set SIM_ENGINE=fused or SIM_ENGINE=reference to measure those engines
+// Set SIM_ENGINE=native or SIM_ENGINE=reference to measure those engines
 // instead of the default basic-block translator.
 func BenchmarkPrograms(b *testing.B) {
 	engine, err := mipsx.ParseEngine(os.Getenv("SIM_ENGINE"))
@@ -245,7 +245,7 @@ func BenchmarkPrograms(b *testing.B) {
 // invocation, so `go test -bench=Engine` yields a side-by-side throughput
 // comparison (the CI smoke step and `make bench-compare` consume it).
 func BenchmarkEngine(b *testing.B) {
-	for _, e := range []mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated, mipsx.EngineFused, mipsx.EngineReference} {
+	for _, e := range []mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated, mipsx.EngineReference} {
 		e := e
 		b.Run(e.String(), func(b *testing.B) { benchPrograms(b, e) })
 	}

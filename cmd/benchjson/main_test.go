@@ -33,7 +33,7 @@ PASS
 	}
 	// The prefix selects one engine's lines out of a BenchmarkEngine pass.
 	engineOut := []byte(`BenchmarkEngine/translated/boyer-8  1  100 ns/op  20.00 Minstr/s
-BenchmarkEngine/fused/boyer-8       1  150 ns/op  13.00 Minstr/s
+BenchmarkEngine/reference/boyer-8   1  150 ns/op  13.00 Minstr/s
 PASS
 `)
 	tr, err := parseBench(engineOut, "BenchmarkEngine/translated/")

@@ -11,7 +11,7 @@
 //
 // Any scheme the report names can be fed straight back into tagsim,
 // tagsimd or the API by its canonical name (e.g. -scheme
-// xl3:1.2.5.6.3.0.7) — searched schemes run in all four engines
+// xl3:1.2.5.6.3.0.7) — searched schemes run in all three engines
 // unchanged.
 package main
 
@@ -36,7 +36,7 @@ func main() {
 		props    = flag.String("props", strings.Join(schemesearch.DefaultPropertyNames, ","), "comma-separated properties every candidate must satisfy")
 		programs = flag.String("programs", strings.Join(schemesearch.DefaultPrograms, ","), "comma-separated benchmark programs to sweep")
 		variants = flag.String("variants", strings.Join(schemesearch.DefaultVariants, ","), "comma-separated config variants (\"check\", \"check+mem+tbr\", \"plain\", ...)")
-		engine   = flag.String("engine", "", "simulator engine for uncached runs (translated, fused, reference, native)")
+		engine   = flag.String("engine", "", "simulator engine for uncached runs (translated, reference, native)")
 		table    = flag.Bool("table", false, "print a human-readable table instead of JSON")
 		smoke    = flag.Bool("smoke", false, "exit nonzero unless some candidate ties or beats the hand-built low3 on a variant")
 		verbose  = flag.Bool("v", false, "progress to stderr")

@@ -85,7 +85,7 @@ func main() {
 	flag.BoolVar(&o.repl, "repl", false, "interactive read-eval-print loop on the simulated machine")
 	flag.StringVar(&o.t2row, "table2-row", "", "per-program detail for one Table 2 row (1-7 or SPUR)")
 	flag.IntVar(&o.workers, "workers", 0, "parallel simulations in table/figure sweeps (default: one per CPU, GOMAXPROCS)")
-	flag.StringVar(&o.engine, "engine", "", "simulator engine: translated (default), native, fused, reference")
+	flag.StringVar(&o.engine, "engine", "", "simulator engine: translated (default), native, reference; -trace-out, -flame and -events-out always run reference")
 	flag.BoolVar(&o.json, "json", false, "emit machine-readable JSON (schema "+core.SchemaVersion+") instead of text")
 	flag.StringVar(&o.traceOut, "trace-out", "", "with -program: write a Chrome trace_event timeline (chrome://tracing) to this file")
 	flag.StringVar(&o.flame, "flame", "", "with -program: write folded call stacks (flamegraph input) to this file")
@@ -372,17 +372,15 @@ func runOne(name string, cfg core.Config, engine mipsx.Engine, o options) error 
 	}
 	m.Obs = obs.Tee(observers...)
 
-	// The reference engine emits per-instruction events; -events-out wants
-	// them regardless of -engine. Otherwise the selected engine runs (the
-	// translated default transparently falls back to the fused loop when
-	// -trace-out or -flame attached an observer).
-	var runErr error
-	execStart := time.Now()
-	if o.eventsOut != "" {
-		runErr = m.RunReference()
-	} else {
-		runErr = m.RunEngine(engine)
+	// Only the reference engine emits events, so a run with any observer
+	// attached (-trace-out, -flame, -events-out) executes there whatever
+	// -engine asked for, and the reports name the engine that ran.
+	ranEngine := engine
+	if m.Obs != nil {
+		ranEngine = mipsx.EngineReference
 	}
+	execStart := time.Now()
+	runErr := m.RunEngine(ranEngine)
 	if tl != nil {
 		tl.Record(obs.PhaseExecute, execStart, time.Since(execStart))
 		// The lazy JIT phases ran inside execute; their spans overlap it.
@@ -417,7 +415,7 @@ func runOne(name string, cfg core.Config, engine mipsx.Engine, o options) error 
 		}
 	}
 	if tl != nil {
-		doc := tl.Doc(core.SchemaVersion, p.Name, cfg.String(), engine.String())
+		doc := tl.Doc(core.SchemaVersion, p.Name, cfg.String(), ranEngine.String())
 		if err := writeFile(o.spanOut, doc.WriteJSON); err != nil {
 			return err
 		}
@@ -440,10 +438,6 @@ func runOne(name string, cfg core.Config, engine mipsx.Engine, o options) error 
 		Output:  m.Output.String(),
 	}
 	rep := core.NewRunReport(p, cfg, res)
-	ranEngine := engine
-	if o.eventsOut != "" {
-		ranEngine = mipsx.EngineReference // -events-out forced the reference run above
-	}
 	rep.Engine = &core.EngineReport{
 		Name:   ranEngine.String(),
 		Trans:  m.Trans,

@@ -17,7 +17,7 @@
 // With -memtag the generator plants memory-safety violations (use-after-
 // free, out-of-granule forging, reads past the allocation frontier) and the
 // oracle inverts: every program must raise a memtag fault, identically on
-// all four engines, under the memory-tagging spectrum. A program that runs
+// all three engines, under the memory-tagging spectrum. A program that runs
 // to completion is the failure.
 //
 // Exit status: 0 when the campaign found nothing (or -minimize reproduced and

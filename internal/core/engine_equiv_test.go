@@ -14,10 +14,10 @@ import (
 
 // TestEngineEquivalence is the differential harness for the optimized
 // execution engines: every program under the baseline configurations and
-// every Table 2 hardware row runs on the translated engine, the fused
-// loop, the native closure-threaded engine, and the single-step reference
-// path, and everything observable — statistics, registers, memory, output,
-// and the decoded result — must be identical across all four. An engine is
+// every Table 2 hardware row runs on the translated engine, the native
+// closure-threaded engine, and the single-step reference path, and
+// everything observable — statistics, registers, memory, output, and the
+// decoded result — must be identical across all three. An engine is
 // only a valid optimization if it does not change a single reproduced
 // number.
 func TestEngineEquivalence(t *testing.T) {
@@ -56,7 +56,7 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Errorf("%s: result %s, want %s", cfg, refValue, p.Expected)
 				}
 
-				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineFused, mipsx.EngineNative} {
+				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative} {
 					m := img.NewMachine()
 					m.MaxCycles = 2_000_000_000
 					if err := m.RunEngine(engine); err != nil {
@@ -87,7 +87,7 @@ func TestEngineEquivalence(t *testing.T) {
 						t.Errorf("%s: decoded value diverges: %s %s, ref %s", cfg, engine, value, refValue)
 					}
 					if engine == mipsx.EngineTranslated && m.Trans.Fallbacks != 0 {
-						t.Errorf("%s: translated engine fell back to the fused loop", cfg)
+						t.Errorf("%s: translated engine fell back to the reference engine", cfg)
 					}
 					if engine == mipsx.EngineNative && m.Native.Fallbacks != 0 {
 						t.Errorf("%s: native engine fell back to another engine", cfg)
@@ -125,6 +125,10 @@ func buildEquivImage(t *testing.T, p *programs.Program, cfg Config) *rt.Image {
 // observable: with a Ctx that never fires, every program's Stats,
 // registers, PC and output are bit-identical to the run without one, and
 // a cycle-limit fault halfway through lands at the same PC and cycle.
+// That fault is also identical between translated and native. The
+// reference engine is left out of the fault comparison: it enforces
+// MaxCycles after every step, the block engines only at control transfers
+// and trap entries, so its cycle-limit fault lands earlier.
 func TestEngineLiveCtxIdentical(t *testing.T) {
 	var configs []Config
 	for _, s := range []string{"high5+check", "low3+check", "high5+check+memtag"} {
@@ -144,6 +148,8 @@ func TestEngineLiveCtxIdentical(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			for _, cfg := range configs {
 				img := buildEquivImage(t, p, cfg)
+				var transFault *mipsx.Fault
+				var transStats mipsx.Stats
 				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative} {
 					run := func(ctx context.Context, maxCycles uint64) (*mipsx.Machine, error) {
 						m := img.NewMachine()
@@ -177,6 +183,11 @@ func TestEngineLiveCtxIdentical(t *testing.T) {
 					}
 					if *bf != *lf || bm.Stats != lm.Stats {
 						t.Errorf("%s/%s: limit fault with live ctx %+v, without %+v", cfg, engine, *lf, *bf)
+					}
+					if engine == mipsx.EngineTranslated {
+						transFault, transStats = bf, bm.Stats
+					} else if *bf != *transFault || bm.Stats != transStats {
+						t.Errorf("%s: limit %d: native fault %+v, translated %+v", cfg, limit, *bf, *transFault)
 					}
 				}
 			}

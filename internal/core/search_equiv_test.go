@@ -11,7 +11,7 @@ import (
 )
 
 // TestSearchedSchemeEngineEquivalence runs materialized (registered)
-// searched schemes through all four engines and demands bit-identical
+// searched schemes through all three engines and demands bit-identical
 // statistics, registers, memory and results — the same bar the hand-built
 // schemes clear in TestEngineEquivalence. The specs are chosen to
 // exercise the table-driven paths the builtins do not: a low scheme with
@@ -57,7 +57,7 @@ func TestSearchedSchemeEngineEquivalence(t *testing.T) {
 				t.Errorf("%s/%s: result %s, want %s", spec, name, refValue, p.Expected)
 			}
 
-			for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineFused, mipsx.EngineNative} {
+			for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative} {
 				m := img.NewMachine()
 				m.MaxCycles = 2_000_000_000
 				if err := m.RunEngine(engine); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // The superblock-dataflow metamorphic invariant: the native engine's
-// dataflow passes — tag-check elision, cross-element refusion, and the
-// opt-in register-caching chains — must be architecturally invisible.
+// dataflow passes — tag-check elision and cross-element refusion — must
+// be architecturally invisible.
 // Turning any of them off changes only host-side dispatch, so a native
 // run under every SBOpt setting must be bit-identical to the reference
 // engine in results AND in the full expanded statistics: elided checks
@@ -29,7 +29,6 @@ var sbVariants = []struct {
 	{"default", mipsx.SBOpt{}},
 	{"noelide", mipsx.SBOpt{NoElide: true}},
 	{"noelide+norefuse", mipsx.SBOpt{NoElide: true, NoRefuse: true}},
-	{"regcache", mipsx.SBOpt{RegCache: true}},
 }
 
 // CheckDataflow builds a fresh image per SBOpt variant (superblock

@@ -6,8 +6,7 @@ import "testing"
 // invariant across the full 40-config implementation spectrum: every
 // scheme×hardware point gets a distinct generated program, and the
 // native engine must match the reference engine bit-for-bit — results
-// and expanded statistics — with elision on, off, refusion off, and the
-// register-caching chains on.
+// and expanded statistics — with elision on, off, and refusion off.
 func TestDataflowInvariant(t *testing.T) {
 	spec := Spectrum()
 	for i, cfg := range spec {

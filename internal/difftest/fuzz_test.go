@@ -39,7 +39,7 @@ func FuzzGenerated(f *testing.F) {
 // then the remaining decisions shape a program that is memory-unsafe by
 // construction. The property is the always-fire side of the safety oracle:
 // every generated torture program must raise a memtag fault, identically
-// on all four engines. (The never-fire side runs on the fixed benchmark
+// on all three engines. (The never-fire side runs on the fixed benchmark
 // programs and needs no fuzzing.)
 func FuzzMemtag(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {

@@ -17,7 +17,7 @@ import (
 // construction (use-after-free, out-of-granule forging, reads past the
 // allocation frontier), and a two-sided oracle over the memory-tagging
 // configurations. The always-fire side demands that every torture program
-// raises a memtag fault — identically on all four engines; the never-fire
+// raises a memtag fault — identically on all three engines; the never-fire
 // side demands that the ten benchmark programs run to their expected
 // values with zero faults. A tagging design that misses torture programs
 // is unsound; one that fires on clean programs is unusable. Both
@@ -104,7 +104,7 @@ func GenerateTortureKind(r *Rand, granuleBytes int, kind string) string {
 
 // CheckMemtagTorture is the always-fire direction: src (a torture
 // program) must raise a memtag fault under cfg, bit-identically on all
-// four engines. Any engine finishing the run, failing differently, or
+// three engines. Any engine finishing the run, failing differently, or
 // disagreeing with the reference engine is a Failure.
 func CheckMemtagTorture(src string, cfg core.Config, opt Options) *Failure {
 	opt = opt.withDefaults()
@@ -114,19 +114,15 @@ func CheckMemtagTorture(src string, cfg core.Config, opt Options) *Failure {
 			Detail: fmt.Sprintf("torture program rejected: %v", err)}
 	}
 	ref := runEngine(img, opt.MaxCycles, mipsx.EngineReference)
-	fused := runEngine(img, opt.MaxCycles, mipsx.EngineFused)
 	trans := runEngine(img, opt.MaxCycles, mipsx.EngineTranslated)
 	native := runEngine(img, opt.MaxCycles, mipsx.EngineNative)
-	if f := compareEngines("fused", &fused, &ref, cfg); f != nil {
-		return f
-	}
 	if f := compareEngines("translated", &trans, &ref, cfg); f != nil {
 		return f
 	}
 	if f := compareEngines("native", &native, &ref, cfg); f != nil {
 		return f
 	}
-	for _, r := range []*machineRun{&fused, &ref, &trans, &native} {
+	for _, r := range []*machineRun{&ref, &trans, &native} {
 		if err := r.m.Stats.CheckInvariants(); err != nil {
 			return &Failure{Kind: "invariant", Config: cfg.String(), Detail: err.Error()}
 		}

@@ -14,7 +14,7 @@ import (
 var pinMemtag = flag.Bool("pin-memtag", false, "rewrite the pinned torture reproducers in testdata/memtag")
 
 // tortureOptions: torture programs are a handful of allocations plus one
-// bad access, so a small cycle budget keeps the four-engine sweep cheap.
+// bad access, so a small cycle budget keeps the three-engine sweep cheap.
 var tortureOptions = Options{MaxCycles: 5_000_000, Steps: 100_000}
 
 // TestMemtagSpectrumCoverage pins the safety sweep's shape: both check
@@ -65,7 +65,7 @@ func TestGenerateTortureDeterministic(t *testing.T) {
 // TestMemtagTortureAlwaysFires is the exhaustive always-fire direction of
 // the safety oracle: every torture kind, under every configuration in the
 // memtag spectrum, must raise a memtag fault — and bit-identically so on
-// all four engines. A single silent completion here means the granule
+// all three engines. A single silent completion here means the granule
 // discipline has a hole (a check site not emitted, a granule not colored,
 // a poison not written).
 func TestMemtagTortureAlwaysFires(t *testing.T) {

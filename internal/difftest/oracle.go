@@ -133,13 +133,13 @@ func runEngine(img *rt.Image, maxCycles uint64, engine mipsx.Engine) machineRun 
 }
 
 // Check runs src through the interpreter and through compiled code on all
-// four simulator engines under cfg, and returns the first divergence
+// three simulator engines under cfg, and returns the first divergence
 // found, or nil. The properties asserted:
 //
-//   - the fused, translated, native and reference engines agree on every
-//     architectural outcome: statistics, registers, PC, output bytes, and
-//     final memory;
-//   - all four satisfy the Stats accounting invariants;
+//   - the translated and native engines agree with the reference engine
+//     on every architectural outcome: statistics, registers, PC, output
+//     bytes, and final memory;
+//   - all three satisfy the Stats accounting invariants;
 //   - the machine result equals the interpreter's: same rendered value and
 //     same printed output, or the same Lisp error code when checking is
 //     compiled in. Under Checking=false the compiled fast paths assume
@@ -176,11 +176,10 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 			Detail: fmt.Sprintf("interpreter accepted but compiler rejected: %v", err)}
 	}
 
-	fused := runEngine(img, opt.MaxCycles, mipsx.EngineFused)
 	ref := runEngine(img, opt.MaxCycles, mipsx.EngineReference)
 	trans := runEngine(img, opt.MaxCycles, mipsx.EngineTranslated)
 	native := runEngine(img, opt.MaxCycles, mipsx.EngineNative)
-	if fused.limited || ref.limited || trans.limited || native.limited {
+	if ref.limited || trans.limited || native.limited {
 		// The oracle terminated within its budget, so a machine run that
 		// exhausts 50M cycles is an interp/machine divergence only if the
 		// interpreter's verdict applies at all under this configuration.
@@ -190,10 +189,7 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 			return nil
 		}
 		return &Failure{Kind: "error", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter terminated, machine exceeded the cycle limit: %v", fused.err)}
-	}
-	if f := compareEngines("fused", &fused, &ref, cfg); f != nil {
-		return f
+			Detail: fmt.Sprintf("interpreter terminated, machine exceeded the cycle limit: %v", trans.err)}
 	}
 	if f := compareEngines("translated", &trans, &ref, cfg); f != nil {
 		return f
@@ -201,7 +197,7 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 	if f := compareEngines("native", &native, &ref, cfg); f != nil {
 		return f
 	}
-	for _, r := range []*machineRun{&fused, &ref, &trans, &native} {
+	for _, r := range []*machineRun{&ref, &trans, &native} {
 		if err := r.m.Stats.CheckInvariants(); err != nil {
 			return &Failure{Kind: "invariant", Config: cfg.String(), Detail: err.Error()}
 		}
@@ -211,28 +207,28 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 		return nil // undefined behavior without checking; engines still had to agree
 	}
 	if want.errc != 0 {
-		if fused.errc != int32(want.errc) {
+		if trans.errc != int32(want.errc) {
 			return &Failure{Kind: "error", Config: cfg.String(),
 				Detail: fmt.Sprintf("interpreter error %d (%s), machine %v",
-					want.errc, mipsx.ErrorCodeName(int32(want.errc)), fused.err)}
+					want.errc, mipsx.ErrorCodeName(int32(want.errc)), trans.err)}
 		}
 		return nil
 	}
-	if fused.err != nil {
+	if trans.err != nil {
 		return &Failure{Kind: "error", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter succeeded, machine failed: %v", fused.err)}
+			Detail: fmt.Sprintf("interpreter succeeded, machine failed: %v", trans.err)}
 	}
-	if fused.m.Output.String() != want.output {
+	if trans.m.Output.String() != want.output {
 		return &Failure{Kind: "output", Config: cfg.String(),
 			Detail: fmt.Sprintf("machine printed %q, interpreter %q",
-				fused.m.Output.String(), want.output)}
+				trans.m.Output.String(), want.output)}
 	}
 	// The image decoder truncates beyond depth 64 ("..."); generated
 	// programs stay far below it, but arbitrary fuzz inputs may not, and a
 	// truncated rendering cannot be compared.
-	if fused.value != want.value && !strings.Contains(fused.value, "...") {
+	if trans.value != want.value && !strings.Contains(trans.value, "...") {
 		return &Failure{Kind: "value", Config: cfg.String(),
-			Detail: fmt.Sprintf("machine value %s, interpreter %s", fused.value, want.value)}
+			Detail: fmt.Sprintf("machine value %s, interpreter %s", trans.value, want.value)}
 	}
 	return nil
 }

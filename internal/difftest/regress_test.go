@@ -110,7 +110,7 @@ func TestRegressionValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
-		r := runEngine(img, 50_000_000, mipsx.EngineFused)
+		r := runEngine(img, 50_000_000, mipsx.EngineTranslated)
 		if r.err != nil {
 			t.Fatalf("%s: %v", tc.src, r.err)
 		}

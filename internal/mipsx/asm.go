@@ -379,7 +379,7 @@ type Program struct {
 	// tracing and locating runtime entry points).
 	Labels map[string]int
 
-	// Predecoded stream for the fused execution loop, built once on first
+	// Predecoded stream for the block engines, built once on first
 	// use (see predecode.go). Instrs must not be mutated after execution
 	// starts.
 	predecodeOnce sync.Once

@@ -138,8 +138,8 @@ type stallRec struct {
 }
 
 // outcome is the static accounting of one branch direction: total cycles
-// (branch, slots, slot stalls), the portion the fused engine has charged
-// when it performs its cycle-limit check, stall attributions, and where
+// (branch, slots, slot stalls), the portion the block engines have charged
+// when they perform their cycle-limit check, stall attributions, and where
 // execution continues.
 type outcome struct {
 	cyc      uint64
@@ -544,7 +544,7 @@ func (p *Program) buildTerm(b *tblock, tpc int) {
 	t.pc = int32(tpc)
 	if tpc >= len(dec) {
 		// Ran off the end of the stream: the transfer to tpc faults with
-		// "pc out of range", exactly where the fused loop would.
+		// "pc out of range", exactly where the reference engine does.
 		t.kind = termFall
 		t.fall.nextPC = int32(tpc)
 		return
@@ -602,9 +602,9 @@ func (p *Program) buildTerm(b *tblock, tpc int) {
 func (p *Program) makeOutcome(d, s1, s2 *decoded, target int, annul bool) outcome {
 	o := outcome{nextPC: int32(target)}
 	branchCyc := uint64(d.cycles)
-	// The fused loop checks the cycle limit right after dispatching the
+	// The block engines check the cycle limit right after dispatching the
 	// transfer: before the slots run, except on the both-slots-NOP fast
-	// path, where it consumes the two slot cycles first.
+	// path, where they consume the two slot cycles first.
 	o.checkCyc = branchCyc
 	if d.slotsNop {
 		o.checkCyc = branchCyc + 2

@@ -49,7 +49,7 @@ func spinCallProgram(t *testing.T) *Program {
 	return p
 }
 
-var allEngines = []Engine{EngineFused, EngineReference, EngineTranslated, EngineNative}
+var allEngines = []Engine{EngineReference, EngineTranslated, EngineNative}
 
 // checkNoFallback asserts that a translated or native run executed on the
 // engine it asked for.

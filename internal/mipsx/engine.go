@@ -2,9 +2,9 @@ package mipsx
 
 import "fmt"
 
-// Engine selects one of the four execution engines. The zero value is the
-// block-translating engine, making it the default everywhere a caller does
-// not ask for something else.
+// Engine selects one of the three execution engines. The zero value is
+// the block-translating engine, making it the default everywhere a caller
+// does not ask for something else.
 type Engine uint8
 
 const (
@@ -12,12 +12,12 @@ const (
 	// the predecoded stream is cut into straight-line blocks, recurring tag
 	// idioms are fused into superinstructions, and translated blocks are
 	// cached and chained. Honours MaxCycles and Ctx itself; falls back to
-	// the fused loop only when an Observer is attached or the machine is
-	// stopped mid-pipeline.
+	// the reference engine only when an Observer is attached or the machine
+	// is stopped mid-pipeline.
 	EngineTranslated Engine = iota
-	// EngineFused is the fused single-dispatch loop (fused.go).
-	EngineFused
-	// EngineReference is the single-step reference engine (sim.go).
+	// EngineReference is the single-step reference engine (sim.go): the
+	// ground truth the other engines are tested against, and the engine
+	// that serves every Observer.
 	EngineReference
 	// EngineNative is the closure-threaded engine (native.go): translated
 	// blocks are compiled into chains of Go closures specialized on the
@@ -29,9 +29,19 @@ const (
 	EngineNative
 )
 
+// EngineFused is a deprecated alias of EngineReference. The fused
+// single-dispatch loop it named has been removed; the alias exists only
+// because perfbench/service.go (line 363) names it, and the benchmark
+// module changes separately from the simulator. Its String() is
+// "reference", so perfbench's core.runs_engine.fused metric is never set
+// and reads 0, as it did while no request ran on the fused loop. Nothing
+// else may use it.
+//
+// Deprecated: use EngineReference, EngineTranslated or EngineNative.
+const EngineFused = EngineReference
+
 var engineNames = [...]string{
 	EngineTranslated: "translated",
-	EngineFused:      "fused",
 	EngineReference:  "reference",
 	EngineNative:     "native",
 }
@@ -44,7 +54,7 @@ func (e Engine) String() string {
 }
 
 // EngineNames lists the accepted engine selector spellings.
-var EngineNames = []string{"translated", "fused", "reference", "native"}
+var EngineNames = []string{"translated", "reference", "native"}
 
 // ParseEngine parses an engine selector; the empty string selects the
 // default (translated) engine.
@@ -52,27 +62,27 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "translated":
 		return EngineTranslated, nil
-	case "fused":
-		return EngineFused, nil
 	case "reference":
 		return EngineReference, nil
 	case "native":
 		return EngineNative, nil
 	}
-	return EngineTranslated, fmt.Errorf("unknown engine %q (want translated, fused, reference or native)", s)
+	return EngineTranslated, fmt.Errorf("unknown engine %q (want translated, reference or native)", s)
 }
 
+// Run executes the program to completion on the default (translated)
+// engine.
+func (m *Machine) Run() error { return m.RunTranslated() }
+
 // RunEngine executes the program to completion on the selected engine.
-// All four engines produce bit-identical architectural state, statistics
+// All three engines produce bit-identical architectural state, statistics
 // and output; they differ only in speed and in observability (the
-// reference engine emits per-instruction events, the fused loop emits
-// control-flow events, the translated and native engines emit none and
-// transparently fall back to the fused loop when an Observer is
-// attached). Every engine honours MaxCycles and Ctx cancellation.
+// reference engine emits every event, including one per instruction; the
+// translated and native engines emit none and transparently fall back to
+// the reference engine when an Observer is attached). Every engine
+// honours MaxCycles and Ctx cancellation.
 func (m *Machine) RunEngine(e Engine) error {
 	switch e {
-	case EngineFused:
-		return m.Run()
 	case EngineReference:
 		return m.RunReference()
 	case EngineNative:
@@ -86,14 +96,14 @@ func (m *Machine) RunEngine(e Engine) error {
 // runs: how many blocks this machine translated (first executions of a
 // block populate the program-wide cache), how many block transitions were
 // served by a direct chain pointer, how many RunTranslated calls fell back
-// to the fused loop (Observer attached or pipeline mid-flight), and the
+// to the reference engine (Observer attached or pipeline mid-flight), and the
 // dispatch-step mix (FusedSteps of Steps were superinstructions covering
 // two source instructions).
 type TransStats struct {
 	Translated uint64 `json:"translated"`  // blocks translated into the program's cache by this machine
 	BlockRuns  uint64 `json:"block_runs"`  // completed basic-block executions
 	ChainHits  uint64 `json:"chain_hits"`  // block transitions resolved through a chain pointer
-	Fallbacks  uint64 `json:"fallbacks"`   // RunTranslated calls that delegated to the fused loop
+	Fallbacks  uint64 `json:"fallbacks"`   // RunTranslated calls that delegated to the reference engine
 	Steps      uint64 `json:"steps"`       // dispatch steps executed in completed block bodies
 	FusedSteps uint64 `json:"fused_steps"` // of those, fused superinstructions (two source instrs)
 }
@@ -131,10 +141,6 @@ type NativeStats struct {
 	// still charge every one of them (block accounting is static), so
 	// this is purely a host-speed counter.
 	ElidedChecks uint64 `json:"elided_checks"`
-	// RegCacheSpills counts register spills at superblock chain exit
-	// sites (register-caching closure chains write their cached
-	// architectural registers back on every exit).
-	RegCacheSpills uint64 `json:"regcache_spills"`
 }
 
 // Accumulate adds o's counters into n.
@@ -150,5 +156,4 @@ func (n *NativeStats) Accumulate(o *NativeStats) {
 	n.Steps += o.Steps
 	n.FusedSteps += o.FusedSteps
 	n.ElidedChecks += o.ElidedChecks
-	n.RegCacheSpills += o.RegCacheSpills
 }

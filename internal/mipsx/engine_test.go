@@ -5,22 +5,23 @@ import (
 	"testing"
 )
 
-// runEngines executes p on all four engines and asserts every observable —
-// statistics, registers, PC, memory, output, and any error — is identical.
-// It returns the fused machine for additional assertions.
+// runEngines executes p on the translated and native engines and asserts
+// every observable — statistics, registers, PC, memory, output, and any
+// error — is identical to a reference-engine run. It returns the translated
+// machine for additional assertions.
 func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 	t.Helper()
 	ref := NewMachine(p, memWords, hw)
 	ref.MaxCycles = 1_000_000
 	rerr := ref.RunReference()
 
-	var fused *Machine
-	for _, e := range []Engine{EngineFused, EngineTranslated, EngineNative} {
+	var translated *Machine
+	for _, e := range []Engine{EngineTranslated, EngineNative} {
 		m := NewMachine(p, memWords, hw)
 		m.MaxCycles = 1_000_000
 		merr := m.RunEngine(e)
-		if e == EngineFused {
-			fused = m
+		if e == EngineTranslated {
+			translated = m
 		}
 
 		switch {
@@ -48,14 +49,15 @@ func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 			}
 		}
 	}
-	return fused
+	return translated
 }
 
-// TestFusedMatchesReference pits the fused loop against the single-step
-// reference on small programs that exercise every special path: interlock
-// stalls, squashing branches, checked loads with and without a handler,
-// arithmetic traps, jumps, syscalls with output, and faults.
-func TestFusedMatchesReference(t *testing.T) {
+// TestEnginesMatchReference pits the translated and native engines against
+// the single-step reference on small programs that exercise every special
+// path: interlock stalls, squashing branches, tag branches, checked loads
+// with and without a handler, arithmetic traps, memory tagging, jumps,
+// syscalls with output, and faults.
+func TestEnginesMatchReference(t *testing.T) {
 	tagged := HWConfig{TagShift: 27, TagMask: 31, IsIntItem: isInt27,
 		TrapHandler: -1, CheckFailHandler: -1}
 	plain := HWConfig{TrapHandler: -1, CheckFailHandler: -1}
@@ -279,7 +281,7 @@ func TestEngineZeroAlloc(t *testing.T) {
 	}
 	for vname, v := range variants {
 		hw := v.hw
-		for _, engine := range []Engine{EngineFused, EngineTranslated, EngineNative} {
+		for _, engine := range []Engine{EngineTranslated, EngineNative} {
 			t.Run(vname+"/"+engine.String(), func(t *testing.T) {
 				a := NewAsm()
 				main := a.NewLabel("main")

@@ -42,10 +42,6 @@ type EngineIntrospection struct {
 	SBSteps        int `json:"sb_steps"`
 	SBElidedChecks int `json:"sb_elided_checks"`
 	SBDroppedSteps int `json:"sb_dropped_steps"`
-	// Register-cache chain coverage: streams compiled into caching chains
-	// (opt-in, see SBOpt.RegCache) and the steps they specialize.
-	SBChains        int `json:"sb_chains"`
-	SBChainCovSteps int `json:"sb_chain_cov_steps"`
 	// TranslateUS and NativeCompileUS are the cumulative wall time the
 	// lazy JIT phases have consumed for this program, in microseconds.
 	TranslateUS     float64 `json:"translate_us"`
@@ -90,10 +86,6 @@ func (p *Program) Introspect() EngineIntrospection {
 				ei.SBSteps += len(sb.steps)
 				ei.SBElidedChecks += int(sb.elidedChecks)
 				ei.SBDroppedSteps += int(sb.droppedSteps)
-				if sb.chain != nil {
-					ei.SBChains++
-					ei.SBChainCovSteps += int(sb.chainCov)
-				}
 			}
 		}
 	}

@@ -11,7 +11,7 @@ package mipsx
 // terminator exactly as the translated engine does, sharing its chain
 // pointers, its per-block counters, and its flush expansion. Every rare
 // event (side exits, faults, check failures, arithmetic traps, cycle
-// limits) spills back into the translated engine's accounting so all four
+// limits) spills back into the translated engine's accounting so all three
 // engines stay bit-identical in Stats, registers, memory, output and
 // faults.
 //
@@ -20,7 +20,7 @@ package mipsx
 // guard, so a canceled run stops where no pipeline state is pending.
 //
 // Fallbacks mirror the translated engine's: an attached Observer or a
-// machine stopped mid-pipeline delegates to the fused loop; a program
+// machine stopped mid-pipeline delegates to the reference engine; a program
 // already natively compiled for a different hardware config delegates to
 // the translated engine rather than recompiling.
 
@@ -35,7 +35,7 @@ import (
 func (m *Machine) RunNative() error {
 	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
 		m.Native.Fallbacks++
-		return m.Run()
+		return m.RunReference()
 	}
 	p := m.Prog
 	p.initTranslation()
@@ -113,20 +113,7 @@ loop:
 		// polls exactly where the translated engine would.
 		if sb := bn.sb.Load(); sb != nil && cycles+sb.maxCyc <= limit {
 			st.exit = nexNone
-			var idx int
-			if ch := sb.chain; ch != nil {
-				// Register-caching chain: the cached registers ride the
-				// call arguments and spill back at every exit.
-				ch(r, mem, st, r[sb.ca], r[sb.cb])
-				m.Native.RegCacheSpills += 2
-				if st.exit == nexNone {
-					idx = -1
-				} else {
-					idx = int(st.sidx)
-				}
-			} else {
-				idx = execSteps(sb.steps, r, mem, sp, st)
-			}
+			idx := execSteps(sb.steps, r, mem, sp, st)
 			if idx < 0 {
 				m.markSBExit(sb, int32(len(sb.elems)))
 				cycles += sb.fullCyc
@@ -262,7 +249,7 @@ loop:
 
 	bodyAbort:
 		// A body step faulted, failed its tag check, or trapped: re-charge
-		// the executed prefix exactly as the fused loop would have, then
+		// the executed prefix exactly as the reference engine charges it, then
 		// fault or enter the software handler.
 		cycles = m.accountPrefix(int(b.start), int(st.fpc), cycles)
 		switch st.exit {
@@ -319,7 +306,7 @@ loop:
 		continue loop
 
 	slotFault:
-		// A delay slot faulted: reproduce the fused loop's exact state —
+		// A delay slot faulted: reproduce the reference engine's exact state —
 		// the branch and every executed slot counted and charged, the
 		// pending-branch pipeline restored. The outcome's static
 		// accounting has not been applied on this path.
@@ -484,9 +471,9 @@ loop:
 						break loop
 					}
 					if over {
-						// Reconstruct the exact machine state the fused loop has
-						// at its limit check: branch dispatched (and NOP slots
-						// consumed), delay slots still pending otherwise.
+						// Reconstruct the exact machine state at the limit
+						// check: branch dispatched (and NOP slots consumed),
+						// delay slots still pending otherwise.
 						counts[t.pc]++
 						cycles += o.checkCyc
 						if t.slotsNop {

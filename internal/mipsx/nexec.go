@@ -54,7 +54,6 @@ type nstate struct {
 	taken bool  // nexSide: the branch direction actually taken
 	sbj   int32 // nexSide: index of the superblock element whose edge went cold
 	fpc   int32 // source pc of the offending instruction (nexFault/nexCheck/nexTrap)
-	sidx  int32 // aborting step index, set by register-caching chains (sbchain.go)
 
 	failf    string
 	failargs []any
@@ -770,7 +769,7 @@ dispatch:
 }
 
 // memFault records the misaligned/out-of-range fault for one memory access
-// of a fused pair, matching the fused loop's messages exactly.
+// of a fused pair, matching the reference engine's messages exactly.
 func (st *nstate) memFault(pc int32, addr uint32, isLoad bool) {
 	switch {
 	case isLoad && addr&3 != 0:

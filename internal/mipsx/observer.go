@@ -6,10 +6,10 @@ import "fmt"
 type EventKind uint8
 
 const (
-	// EvInstr is one executed (non-annulled) instruction. Emitted by the
-	// reference engine (Step / RunReference) only: the fused loop reports
-	// control-flow events but never per-instruction ones, so full
-	// instruction traces come from the reference path, as profiling does.
+	// EvInstr is one executed (non-annulled) instruction. Every event,
+	// this one included, comes from the reference engine (Step /
+	// RunReference): the block engines fall back to it whenever an
+	// Observer is attached.
 	EvInstr EventKind = iota
 	// EvBranch is a taken conditional branch. Target is the branch target.
 	EvBranch
@@ -52,9 +52,7 @@ func (k EventKind) String() string {
 
 // Event is one execution event. Cycle is Stats.Cycles at the event,
 // including the emitting instruction's own cost (and, for traps, the trap
-// entry overhead), so both engines stamp identical values; the differential
-// tests assert that the control-flow event streams of the fused and
-// reference engines are identical.
+// entry overhead).
 type Event struct {
 	Cycle  uint64
 	PC     int32 // instruction index of the emitting instruction
@@ -64,10 +62,11 @@ type Event struct {
 }
 
 // Observer receives execution events from a Machine. Attach one via
-// Machine.Obs; nil (the default) costs nothing on the fused loop's hot
-// path — the loop tests the observer only at control-flow events, which
-// already leave the straight-line dispatch path — and attaching an
-// observer never changes architectural state, Stats, or output.
+// Machine.Obs; an observed run executes on the reference engine whichever
+// engine was asked for (the translated and native engines fall back to
+// it), and attaching an observer never changes architectural state,
+// Stats, or output. nil (the default) costs the block engines one test
+// per run.
 //
 // Event is called synchronously from the simulation loop, so
 // implementations should be cheap; bounded-memory collectors live in

@@ -63,7 +63,8 @@ func buildObserverProg(t *testing.T) (*Program, HWConfig) {
 
 // TestNoopObserverLeavesRunIdentical is the differential guarantee behind
 // the observer hook: attaching an observer must not change a single
-// architectural or statistical bit of a fused-engine run.
+// architectural or statistical bit of a run. The bare Run executes on the
+// translated engine; the observed one falls back to the reference engine.
 func TestNoopObserverLeavesRunIdentical(t *testing.T) {
 	p, hw := buildObserverProg(t)
 
@@ -100,48 +101,6 @@ func TestNoopObserverLeavesRunIdentical(t *testing.T) {
 	}
 	if got := bare.Output.String(); got != "3242" {
 		t.Errorf("program output %q, want \"3242\"", got)
-	}
-}
-
-// TestEventStreamParity asserts the fused engine's control-flow event
-// stream — kinds, cycle stamps, PCs, targets, arguments — is exactly the
-// reference engine's stream with the per-instruction events removed.
-func TestEventStreamParity(t *testing.T) {
-	p, hw := buildObserverProg(t)
-
-	var fusedLog eventLog
-	fused := NewMachine(p, 1024, hw)
-	fused.MaxCycles = 1_000_000
-	fused.Obs = &fusedLog
-	if err := fused.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	var refLog eventLog
-	ref := NewMachine(p, 1024, hw)
-	ref.MaxCycles = 1_000_000
-	ref.Obs = &refLog
-	if err := ref.RunReference(); err != nil {
-		t.Fatal(err)
-	}
-
-	var refCtl []Event
-	for _, e := range refLog.events {
-		if e.Kind != EvInstr {
-			refCtl = append(refCtl, e)
-		}
-	}
-	if len(refCtl) == len(refLog.events) {
-		t.Error("reference engine emitted no EvInstr events")
-	}
-	if len(fusedLog.events) != len(refCtl) {
-		t.Fatalf("event count diverges: fused %d, reference %d (non-instr)",
-			len(fusedLog.events), len(refCtl))
-	}
-	for i := range refCtl {
-		if fusedLog.events[i] != refCtl[i] {
-			t.Errorf("event %d diverges:\nfused: %+v\nref:   %+v", i, fusedLog.events[i], refCtl[i])
-		}
 	}
 }
 

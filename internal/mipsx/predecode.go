@@ -1,8 +1,9 @@
 package mipsx
 
 // decoded is the predecoded form of one Instr, computed once per Program
-// and consumed by the fused dispatch loop in Run. Everything the loop
-// would otherwise recompute per executed instruction is resolved here:
+// and consumed by block translation (blocks.go) and the block engines'
+// accounting. Everything they would otherwise recompute per instruction
+// is resolved here:
 // the cycle cost (Op.Cycles), the read-register set as a bitmask (the
 // load-interlock test becomes one AND), and the BySub accounting
 // predicate on the category.
@@ -27,14 +28,15 @@ type decoded struct {
 	subbed  bool // cat is CatTagExtract or CatTagCheck (BySub accounting)
 	squash  bool
 	// slotsNop marks branches/jumps whose two delay slots are both NOPs,
-	// letting the fused loop consume the slots without dispatching them.
+	// letting the block engines consume the slots without dispatching them.
 	slotsNop bool
 }
 
 // Predecode forces construction of the predecoded instruction stream used
-// by Run, so the one-time decode cost lands at image-load time rather than
-// on the first simulated instruction. Run calls it implicitly; callers that
-// time execution (benchmarks, the sweep harness) call it up front.
+// by the translated and native engines, so the one-time decode cost lands
+// at image-load time rather than on the first simulated instruction. The
+// engines call it implicitly; callers that time execution (benchmarks, the
+// sweep harness) call it up front.
 func (p *Program) Predecode() { p.predecode() }
 
 func (p *Program) predecode() []decoded {

@@ -64,17 +64,9 @@ import (
 // benchmarks and the difftest dataflow-equivalence invariant. Settings
 // affect superblocks formed after the call; build a fresh image (or
 // Program) to measure a setting from a cold start.
-//
-// RegCache is an opt-in, not an opt-out: the register-caching closure
-// chains (sbchain.go) are semantically exact but measurably slower than
-// the switch dispatcher on this host (see the analysis in sbchain.go and
-// the ablation table in EXPERIMENTS.md), so the default build leaves them
-// off and the flag exists to measure them and to prove their
-// bit-identity.
 type SBOpt struct {
 	NoElide  bool // keep every check and redundant op in the stream
 	NoRefuse bool // fuse only within one element, original kinds only
-	RegCache bool // dispatch streams through register-caching closure chains
 }
 
 var sbOptP atomic.Pointer[SBOpt]
@@ -90,8 +82,8 @@ func CurSBOpt() SBOpt {
 	return SBOpt{}
 }
 
-// ParseSBOpt parses a comma-separated ablation list ("noelide,norefuse,
-// regcache", empty for the defaults), the spelling the SIM_SBOPT
+// ParseSBOpt parses a comma-separated ablation list ("noelide,norefuse",
+// empty for the defaults), the spelling the SIM_SBOPT
 // environment variable and the benchmark harnesses use.
 func ParseSBOpt(s string) (SBOpt, error) {
 	var o SBOpt
@@ -105,10 +97,8 @@ func ParseSBOpt(s string) (SBOpt, error) {
 			o.NoElide = true
 		case "norefuse":
 			o.NoRefuse = true
-		case "regcache":
-			o.RegCache = true
 		default:
-			return o, fmt.Errorf("unknown superblock ablation %q (want noelide, norefuse or regcache)", f)
+			return o, fmt.Errorf("unknown superblock ablation %q (want noelide or norefuse)", f)
 		}
 	}
 	return o, nil

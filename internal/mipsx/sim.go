@@ -141,20 +141,18 @@ type Machine struct {
 	MaxCycles uint64
 
 	// Ctx, when non-nil, makes the run cancelable: every engine polls
-	// Ctx.Err() at control transfers, at most once per cancelCheckCycles
-	// simulated cycles, and aborts with a *Canceled error once it is
-	// non-nil. The translated and native engines fold the poll point into
-	// their MaxCycles test (cycleLimit), so a Ctx costs them nothing per
-	// step or per block; a nil Ctx costs the fused loop one integer
-	// compare per control transfer and nothing on the straight-line path.
+	// Ctx.Err() at most once per cancelCheckCycles simulated cycles and
+	// aborts with a *Canceled error once it is non-nil. The translated and
+	// native engines fold the poll point into their MaxCycles test
+	// (cycleLimit), so a Ctx costs them nothing per step or per block.
 	Ctx context.Context
 
-	// Obs, when non-nil, receives execution events from both engines: the
-	// fused loop emits control-flow events (branches taken, jumps, calls,
-	// returns, traps, syscalls, GC, halt), the reference engine emits those
-	// plus one EvInstr per executed instruction. A nil observer costs the
-	// fused loop nothing on the per-instruction path, and an attached
-	// observer never changes architectural state or Stats.
+	// Obs, when non-nil, receives execution events from the reference
+	// engine: control-flow events (branches taken, jumps, calls, returns,
+	// traps, syscalls, GC, halt) plus one EvInstr per executed instruction.
+	// The translated and native engines run an observed machine on the
+	// reference engine, and an attached observer never changes
+	// architectural state or Stats.
 	Obs Observer
 
 	halted bool
@@ -167,9 +165,10 @@ type Machine struct {
 	// instruction index, for stall attribution.
 	lastLoadReg uint8
 	lastLoad    int
-	// execCounts[i] is the number of times Run executed instruction i
-	// since the last flush; Run derives the per-category/op statistics
-	// from it on exit instead of updating them per instruction.
+	// execCounts[i] is the number of times a block engine executed
+	// instruction i since the last flush; the engines derive the
+	// per-category/op statistics from it on exit instead of updating them
+	// per instruction.
 	execCounts []uint64
 
 	// Trans counts what the translated engine did on this machine.
@@ -258,9 +257,9 @@ func (m *Machine) tagOf(v uint32) uint8 {
 
 // RunReference executes until HALT, a fault, a Lisp runtime error, or
 // MaxCycles, one Step call per instruction. It is the reference engine: the
-// fused loop behind Run is validated against it by differential tests, and
-// anything that needs per-instruction observation (the tracer, profiling)
-// builds on the same Step path.
+// translated and native engines are validated against it by differential
+// tests, and anything that needs per-instruction observation (the tracer,
+// profiling, every Observer) builds on the same Step path.
 func (m *Machine) RunReference() error {
 	var nextCancel uint64
 	for !m.halted {

@@ -123,14 +123,6 @@ type sblock struct {
 	// reforms counts how many stale predecessors this stream has replaced
 	// (see maybeReform).
 	reforms int32
-	// chain is the stream compiled into a register-caching closure chain
-	// (sbchain.go), with ca/cb the two cached registers; nil unless the
-	// SBOpt.RegCache opt-in is set and the stream has enough specialized
-	// coverage, in which case the runner dispatches steps through
-	// execSteps. chainCov counts the specialized steps, for introspection.
-	chain    sbfn
-	ca, cb   uint8
-	chainCov int32
 	// Static dataflow-pass results, for introspection: check sites
 	// removed or weakened, redundant pure steps dropped, and the unit
 	// count before optimization.
@@ -301,7 +293,7 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 			}, elem: int32(j)})
 		case termJumpInd:
 			// Guard first, then the link write: the jump register is read
-			// before a jalr clobbers RA, exactly as in the fused loop. A
+			// before a jalr clobbers RA, exactly as in the reference engine. A
 			// jalr fuses the two into one step (kEdgeJrL).
 			es := tstep{
 				kind: kEdgeJr, rs1: t.rs1,
@@ -360,9 +352,6 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		e := &sb.elems[j]
 		e.stepLo, e.slotLo, e.stepHi = opt.stepLo[j], opt.slotLo[j], opt.stepHi[j]
 		e.elided = opt.elided[j]
-	}
-	if sopt.RegCache {
-		sb.chain, sb.ca, sb.cb, sb.chainCov = compileChain(sb.steps, &np.spec)
 	}
 	sb.exitBase = np.exitLen.Load()
 	np.exitLen.Store(sb.exitBase + int32(len(sb.elems)) + 1)

@@ -14,17 +14,17 @@ package mipsx
 // past the architectural file, so the dispatch loop never restores the
 // hardwired zero. Per-category, per-opcode and stall statistics are
 // reconstructed on exit from per-block execution counters and the blocks'
-// static accounting, exactly as the fused loop reconstructs them from
-// per-instruction counters — the two engines produce bit-identical Stats,
-// registers, memory, output and faults (PC and cycle included), which the
-// differential tests assert.
+// static accounting — the result is bit-identical to the reference
+// engine's Stats, registers, memory, output and faults (PC and cycle
+// included; the cycle-limit fault is the one exception, see below), which
+// the differential tests assert.
 //
 // Rare events leave the fast path without breaking that identity:
 //   - A fault inside a body backs out the block's static accounting and
 //     re-charges the executed prefix instruction by instruction
 //     (accountPrefix), so the fault carries the same cycle count the
-//     fused loop would report.
-//   - A fault inside a delay slot reproduces the fused loop's state at
+//     reference engine reports.
+//   - A fault inside a delay slot reproduces the reference engine's state at
 //     that point: branch and executed slots counted, pending-branch
 //     pipeline restored.
 //   - LDC/STC check failures and ADDTC/SUBTC traps back out the body
@@ -35,14 +35,16 @@ package mipsx
 //
 // MaxCycles and cancellation share one test: limit is the earlier of
 // MaxCycles and the next Ctx poll point (cycleLimit), compared at control
-// transfers and trap entries exactly where the MaxCycles test alone used
-// to be. Crossing it enters pollLimit, which faults past MaxCycles, stops
+// transfers and trap entries rather than after every instruction as the
+// reference engine does, so a runaway run can overshoot MaxCycles by one
+// straight-line run of code before faulting (the native engine faults at
+// exactly the same point). Crossing it enters pollLimit, which faults past MaxCycles, stops
 // with *Canceled when Ctx is done, or advances limit. A canceled run stops
 // where no pipeline state is pending: at a terminator before its branch
 // dispatches, at a trap entry, or after a delegated transfer's delay
 // slots drain.
 //
-// The engine transparently falls back to the fused loop when an Observer
+// The engine transparently falls back to the reference engine when an Observer
 // is attached (tracing keeps working) or when the machine stops
 // mid-pipeline (pending branch or interlock from a prior Step), so it
 // never needs to model resumed pipeline state.
@@ -59,7 +61,7 @@ import (
 func (m *Machine) RunTranslated() error {
 	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
 		m.Trans.Fallbacks++
-		return m.Run()
+		return m.RunReference()
 	}
 	p := m.Prog
 	p.initTranslation()
@@ -100,7 +102,7 @@ func (m *Machine) RunTranslated() error {
 	bctr := m.bctr
 
 	// Pipeline state reconstructed only on MaxCycles faults, so a
-	// subsequent inspection sees exactly what the fused loop would leave.
+	// subsequent Step resumes exactly where the run stopped.
 	pendTarget, pendCount, pendSquash := -1, 0, false
 	var squashed uint64
 	var failf string
@@ -282,7 +284,7 @@ loop:
 				if uint8((v>>tagShift)&tagMask) != s.tag {
 					// Tag mismatch: back out the static block accounting,
 					// re-charge the executed prefix, then enter the
-					// type-error path exactly as the fused loop does.
+					// type-error path exactly as the reference engine does.
 					// (LDC/STC never appear in delay slots — see slotSimple —
 					// so this is always a body step.)
 					bc.body--
@@ -353,7 +355,7 @@ loop:
 					if viol {
 						// Granule mismatch: back out the static block
 						// accounting, re-charge the executed prefix, then enter
-						// the memtag-error path exactly as the fused loop does.
+						// the memtag-error path exactly as the reference engine does.
 						// (LDM/STM never appear in delay slots — see slotSimple —
 						// so this is always a body step.)
 						bc.body--
@@ -413,7 +415,7 @@ loop:
 					s64 != int64(int32(res)) || !isIntItem(res) {
 					// ADDTC/SUBTC never appear in delay slots (slotSimple),
 					// so this is always a body step; no pending branch is
-					// possible here, so the fused loop's trap-in-delay-slot
+					// possible here, so the reference engine's trap-in-delay-slot
 					// fault cannot occur. s.tag carries the original rd (rd
 					// itself went through the zero-destination remap).
 					bc.body--
@@ -925,7 +927,7 @@ loop:
 				st.GCs++
 				st.GCWords += uint64(r[RRet])
 			case SysTrapReturn:
-				// No pending branch is possible here, so the fused loop's
+				// No pending branch is possible here, so the reference engine's
 				// trap-return-in-delay-slot fault cannot occur.
 				rd := mem[TrapRdAddr>>2]
 				if rd >= 32 {
@@ -1009,9 +1011,9 @@ loop:
 					break loop
 				}
 				if over {
-					// Reconstruct the exact machine state the fused loop has at
-					// its limit check: branch dispatched (and NOP slots
-					// consumed), delay slots still pending otherwise.
+					// Reconstruct the exact machine state at the limit check:
+					// branch dispatched (and NOP slots consumed), delay slots
+					// still pending otherwise.
 					counts[t.pc]++
 					cycles += o.checkCyc
 					if t.slotsNop {
@@ -1216,8 +1218,8 @@ loop:
 			st.Cycles, st.Instrs = cycles, instrs
 			err := m.Step()
 			if err == nil && st.Cycles > limit {
-				// The fused loop checks the limit right after dispatching
-				// the transfer. A cancellation seen here stops the run
+				// The limit is checked right after dispatching the
+				// transfer, as at every inline terminator. A cancellation seen here stops the run
 				// only once the delay slots have drained (below).
 				if limit, over, cancelErr = m.pollLimit(st.Cycles); over {
 					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
@@ -1243,7 +1245,7 @@ loop:
 				break loop
 			}
 			// Consume a trailing load interlock left by a slot, exactly as
-			// the fused loop does on entry.
+			// the reference engine's next Step would.
 			if m.lastLoadReg != RZero {
 				if !pendSquash && uint(pc) < uint(len(dec)) &&
 					dec[pc].readMask&(1<<m.lastLoadReg) != 0 {
@@ -1267,7 +1269,7 @@ loop:
 
 stepFault:
 	if inSlots {
-		// A delay slot faulted: reproduce the fused loop's exact state —
+		// A delay slot faulted: reproduce the reference engine's exact state —
 		// the branch and every executed slot counted and charged, the
 		// pending-branch pipeline restored. The outcome's static accounting
 		// has not been applied on this path.
@@ -1284,9 +1286,9 @@ stepFault:
 				}
 			} else {
 				counts[t.pc+2]++
-				// The slot-1 load's interlock against slot 2 was charged
-				// when slot 1 executed in the fused loop; reproduce it live
-				// since the static outcome is not applied on this path.
+				// The slot-1 load's interlock against slot 2 is part of
+				// the static outcome, which is not applied on this path;
+				// charge it live.
 				if s1.op.IsLoad() && s2.readMask&s1.wmask != 0 {
 					cycles++
 					st.Stalls++
@@ -1306,7 +1308,7 @@ stepFault:
 	}
 	// A body instruction faulted: back out the block's static accounting
 	// and re-charge the executed prefix (including the faulting
-	// instruction) one instruction at a time, reproducing the fused loop's
+	// instruction) one instruction at a time, reproducing the reference engine's
 	// cycle count and execution counts at the fault.
 	bc.body--
 	cycles = m.accountPrefix(int(b.start), fpc, cycles-b.bodyCyc)
@@ -1349,8 +1351,8 @@ func (b *tblock) coversPC(pc int32) bool {
 // accountPrefix re-charges instructions [start, j] one at a time after a
 // block body bailed out mid-flight: execution counts, per-instruction
 // cycles, and the load interlock between adjacent prefix instructions
-// (never a stall from the bailing instruction itself — the fused loop
-// charges a load's stall only after the load succeeds). base is the cycle
+// (never a stall from the bailing instruction itself — the reference
+// engine charges a load's stall only after the load succeeds). base is the cycle
 // count before the block was entered; the new total is returned.
 func (m *Machine) accountPrefix(start, j int, base uint64) uint64 {
 	dec := m.Prog.dec

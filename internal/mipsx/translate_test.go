@@ -35,22 +35,10 @@ func TestTranslatedDelaySlotLeader(t *testing.T) {
 		t.Errorf("loop counter = %d, want 8", m.Regs[10])
 	}
 	if m.Trans.Fallbacks != 0 {
-		// runEngines runs translated without observer/ctx; it must not
-		// have fallen back (this field is only set on the translated
-		// machine, which runEngines does not return — assert via a direct
-		// run instead).
-		t.Errorf("unexpected fallback")
+		t.Errorf("translated engine fell back to the reference engine")
 	}
-	tm := NewMachine(p, 256, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
-	tm.MaxCycles = 1_000_000
-	if err := tm.RunTranslated(); err != nil {
-		t.Fatal(err)
-	}
-	if tm.Trans.Fallbacks != 0 {
-		t.Errorf("translated engine fell back to the fused loop")
-	}
-	if tm.Trans.BlockRuns == 0 || tm.Trans.ChainHits == 0 {
-		t.Errorf("expected block executions and chain hits, got %+v", tm.Trans)
+	if m.Trans.BlockRuns == 0 || m.Trans.ChainHits == 0 {
+		t.Errorf("expected block executions and chain hits, got %+v", m.Trans)
 	}
 }
 
@@ -85,13 +73,7 @@ func TestTranslatedSuperinstructions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEngines(t, p, 4096, HWConfig{TagShift: 27, TagMask: 31, TrapHandler: -1, CheckFailHandler: -1})
-
-	tm := NewMachine(p, 4096, HWConfig{TagShift: 27, TagMask: 31, TrapHandler: -1, CheckFailHandler: -1})
-	tm.MaxCycles = 1_000_000
-	if err := tm.RunTranslated(); err != nil {
-		t.Fatal(err)
-	}
+	tm := runEngines(t, p, 4096, HWConfig{TagShift: 27, TagMask: 31, TrapHandler: -1, CheckFailHandler: -1})
 	if tm.Trans.FusedSteps == 0 {
 		t.Errorf("no fused superinstructions executed: %+v", tm.Trans)
 	}
@@ -101,31 +83,74 @@ func TestTranslatedSuperinstructions(t *testing.T) {
 }
 
 // TestTranslatedFallback asserts the translated engine transparently
-// delegates to the fused loop when an Observer is attached and when the
-// machine stopped mid-pipeline after a single Step.
-func TestTranslatedFallback(t *testing.T) {
-	a := NewAsm()
-	main := a.NewLabel("main")
-	a.Bind(main)
-	a.Li(10, 1)
-	a.Li(11, 2)
-	a.Add(12, 10, 11)
-	a.Halt()
-	p, err := a.Finish("main")
-	if err != nil {
-		t.Fatal(err)
+// delegates to the reference engine when an Observer is attached and when
+// the machine stopped mid-pipeline after a single Step.
+func TestTranslatedFallback(t *testing.T) { testReferenceFallback(t, EngineTranslated) }
+
+// TestNativeFallback is TestTranslatedFallback for the native engine, which
+// delegates to the reference engine directly, not through translated.
+func TestNativeFallback(t *testing.T) { testReferenceFallback(t, EngineNative) }
+
+// testReferenceFallback asserts that engine e hands an observed machine and
+// a machine stopped mid-pipeline to the reference engine: exactly one
+// fallback is counted, on e, no block runs, and the run is the reference
+// engine's — an observed run delivers its per-instruction events, and
+// Stats, registers and output equal a RunReference run's.
+func testReferenceFallback(t *testing.T, e Engine) {
+	// Both block engines' counters are read: a native fallback must not
+	// pass through the translated engine either.
+	fallbacks := func(m *Machine) (asked, other uint64) {
+		if e == EngineNative {
+			return m.Native.Fallbacks, m.Trans.Fallbacks
+		}
+		return m.Trans.Fallbacks, m.Native.Fallbacks
+	}
+	same := func(what string, m, ref *Machine) {
+		t.Helper()
+		if asked, other := fallbacks(m); asked != 1 || other != 0 {
+			t.Errorf("%s: fallbacks = %d on %v, %d on the other block engine; want 1, 0", what, asked, e, other)
+		}
+		if n := m.Trans.BlockRuns + m.Native.BlockRuns; n != 0 {
+			t.Errorf("%s: %d block runs, want 0 (the reference engine runs no blocks)", what, n)
+		}
+		if m.Stats != ref.Stats || m.Regs != ref.Regs || m.Output.String() != ref.Output.String() {
+			t.Errorf("%s: run diverges from reference:\n%v: %+v\nref: %+v", what, e, m.Stats, ref.Stats)
+		}
 	}
 
-	m := NewMachine(p, 64, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
-	m.Obs = noopObs{}
-	if err := m.RunTranslated(); err != nil {
+	// An attached Observer: the events are the reference engine's,
+	// EvInstr included.
+	p, hw := buildObserverProg(t)
+	var log, refLog eventLog
+	m := NewMachine(p, 1024, hw)
+	m.MaxCycles = 1_000_000
+	m.Obs = &log
+	if err := m.RunEngine(e); err != nil {
 		t.Fatal(err)
 	}
-	if m.Trans.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1 (observer attached)", m.Trans.Fallbacks)
+	ref := NewMachine(p, 1024, hw)
+	ref.MaxCycles = 1_000_000
+	ref.Obs = &refLog
+	if err := ref.RunReference(); err != nil {
+		t.Fatal(err)
 	}
-	if m.Regs[12] != 3 {
-		t.Errorf("r12 = %d, want 3", m.Regs[12])
+	same("observer attached", m, ref)
+	instrs := 0
+	for _, ev := range log.events {
+		if ev.Kind == EvInstr {
+			instrs++
+		}
+	}
+	if instrs == 0 {
+		t.Error("observer attached: no EvInstr events, so the reference engine did not run")
+	}
+	if len(log.events) != len(refLog.events) {
+		t.Fatalf("observer attached: %d events, reference %d", len(log.events), len(refLog.events))
+	}
+	for i := range refLog.events {
+		if log.events[i] != refLog.events[i] {
+			t.Fatalf("observer attached: event %d diverges:\n%v: %+v\nref: %+v", i, e, log.events[i], refLog.events[i])
+		}
 	}
 
 	// A machine stopped mid-pipeline (after stepping a jump, with delay
@@ -143,23 +168,21 @@ func TestTranslatedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMachine(p2, 64, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
+	hw2 := HWConfig{TrapHandler: -1, CheckFailHandler: -1}
+	m2 := NewMachine(p2, 64, hw2)
 	if err := m2.Step(); err != nil { // steps the JAL, leaving slots pending
 		t.Fatal(err)
 	}
-	if err := m2.RunTranslated(); err != nil {
+	if err := m2.RunEngine(e); err != nil {
 		t.Fatal(err)
 	}
-	if m2.Trans.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1 (pending delay slots)", m2.Trans.Fallbacks)
-	}
-
-	ref := NewMachine(p2, 64, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
-	if err := ref.RunReference(); err != nil {
+	ref2 := NewMachine(p2, 64, hw2)
+	if err := ref2.RunReference(); err != nil {
 		t.Fatal(err)
 	}
-	if m2.Stats != ref.Stats || m2.Regs != ref.Regs {
-		t.Errorf("resumed run diverges from reference:\ntrans: %+v\nref:   %+v", m2.Stats, ref.Stats)
+	same("pending delay slots", m2, ref2)
+	if m2.Regs[10] != 7 {
+		t.Errorf("r10 = %d, want 7", m2.Regs[10])
 	}
 }
 
@@ -247,7 +270,7 @@ func TestTranslatedZeroAllocSteadyState(t *testing.T) {
 	machines := make([]*Machine, runs+1)
 	for i := range machines {
 		// Pre-size the per-pc counter slices outside the measured region,
-		// mirroring what the fused zero-alloc test does with execCounts: a
+		// mirroring what TestEngineZeroAlloc gets from a warm program: a
 		// throwaway run sizes them, and a fresh machine inherits them (they
 		// are flushed back to zero on every exit).
 		sizer := NewMachine(p, 1024, HWConfig{TrapHandler: -1, CheckFailHandler: -1})

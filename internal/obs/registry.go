@@ -84,7 +84,7 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 // RecordTrans folds one machine's translation-engine counters into the
 // registry. Every field is zero when the run used another engine, so
 // callers can record unconditionally; a Fallbacks increment marks a
-// translated run that delegated to the fused loop (observer attached or
+// translated run that delegated to the reference engine (observer attached or
 // machine stopped mid-pipeline) rather than a failure.
 func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 	g.Add("engine_blocks_translated_total", tr.Translated)
@@ -98,7 +98,7 @@ func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 // RecordNative folds one machine's native-engine counters into the
 // registry. As with RecordTrans, every field is zero when the run used
 // another engine; a Fallbacks increment marks a native run that delegated
-// to the fused loop (observer attached or machine stopped mid-pipeline)
+// to the reference engine (observer attached or machine stopped mid-pipeline)
 // or to the translated engine (program compiled for a different hardware
 // config).
 func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
@@ -112,7 +112,6 @@ func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
 	g.Add("native_steps_total", ns.Steps)
 	g.Add("native_fused_steps_total", ns.FusedSteps)
 	g.Add("native_elided_checks_total", ns.ElidedChecks)
-	g.Add("native_regcache_spills_total", ns.RegCacheSpills)
 }
 
 // Snapshot is a point-in-time copy of a Registry, shaped for JSON.

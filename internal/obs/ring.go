@@ -8,9 +8,9 @@ import (
 
 // RingTracer is an event tracer with bounded memory: it retains the most
 // recent Cap events, overwriting the oldest. Attach it to a Machine to
-// keep the tail of an arbitrarily long run — on the reference engine that
-// is a full instruction trace (EvInstr), on the fused engine the
-// control-flow event stream.
+// keep the tail of an arbitrarily long run: a full instruction trace
+// (EvInstr) plus the control-flow events, since an observed run executes on
+// the reference engine.
 type RingTracer struct {
 	buf   []Event
 	next  int

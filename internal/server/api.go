@@ -77,7 +77,7 @@ type RunRequest struct {
 	// clamped to the server's maximum.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Engine selects the simulator engine for this request: "translated"
-	// (default), "fused", "reference" or "native". All engines produce
+	// (default), "reference" or "native". All engines produce
 	// bit-identical results, so the shared result cache serves every
 	// engine — the choice only matters for the run that fills a cache
 	// miss. GET /v1/configs lists the accepted spellings.

@@ -227,7 +227,7 @@ func TestRunEndpoint(t *testing.T) {
 // TestRunExecutesOnRequestedEngine pins the service path: every request
 // carries a deadline context into the simulator, and the translated and
 // native engines must honour it themselves instead of delegating the run
-// to the fused loop.
+// to the reference engine.
 func TestRunExecutesOnRequestedEngine(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	for _, tc := range []struct {

@@ -28,7 +28,7 @@ func (p Placement) String() string {
 // field width, and the tag value of every type. It is the unit the
 // scheme-search enumerator produces and the table-driven constructor
 // consumes — a valid Spec materializes into a Scheme that behaves exactly
-// like a hand-written one and therefore runs on all four engines.
+// like a hand-written one and therefore runs on all three engines.
 //
 // Conventions baked into the runtime that a Spec must respect:
 //
@@ -239,7 +239,7 @@ func Preview(sp Spec) (Scheme, error) {
 // reuse the exact implementations behind the hand-built schemes — the
 // structs are fully table-driven — which is what guarantees a searched
 // scheme behaves identically across the compiler, the runtime and all
-// four engines.
+// three engines.
 func newTableScheme(k Kind, sp Spec) Scheme {
 	if sp.Placement == PlaceHigh {
 		return &highScheme{kind: k, bits: sp.Bits, tagVals: sp.Tags, negInt: uint8(1<<sp.Bits - 1)}

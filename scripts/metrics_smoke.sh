@@ -41,7 +41,7 @@ curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+check","e
 
 # Every request carries a deadline into the simulator, and the translated
 # and native engines must honour it themselves rather than hand the run
-# to the fused loop. A default-engine and a native run of pairs the
+# to the reference engine. A default-engine and a native run of pairs the
 # prewarm did not cache must execute on those engines and leave both
 # fallback counters at zero.
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"trav","config":"low3+check"}' >/dev/null
