@@ -80,9 +80,9 @@ type Result struct {
 	Value   string
 	Output  string
 	// Phases is the timeline of the run that produced this result:
-	// parse/compile (image-cache misses only), execute, the JIT phases
-	// carved out of execute, and stats-flush. Cached replays return the
-	// original run's phases.
+	// parse/compile (image-cache misses only), new-machine, execute, the
+	// JIT phases carved out of execute, and stats-flush. Cached replays
+	// return the original run's phases.
 	Phases []obs.Span
 }
 
@@ -333,17 +333,20 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 }
 
 // runUncached builds and executes one run; key labels errors. Every run
-// carries a phase timeline (parse, compile, translate, native-compile,
-// execute, stats-flush) recorded entirely off the engines' dispatch
-// loops: build phases come from rt.Build's hook, the JIT phases from the
-// program's cumulative compile-time counters delta'd around execute.
+// carries a phase timeline (parse, compile, new-machine, translate,
+// native-compile, execute, stats-flush) recorded entirely off the
+// engines' dispatch loops: build phases come from rt.Build's hook, the
+// JIT phases from the program's cumulative compile-time counters delta'd
+// around execute.
 func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Config, key string, engine mipsx.Engine) (*Result, error) {
 	tl := obs.NewTimeline()
 	img, err := r.imageFor(p, cfg, key, tl)
 	if err != nil {
 		return nil, err
 	}
+	machStart := time.Now()
 	m := img.NewMachine()
+	tl.Record(obs.PhaseNewMachine, machStart, time.Since(machStart))
 	m.MaxCycles = r.MaxCycles
 	// Only a context that can end is worth polling; Background, TODO and
 	// WithoutCancel contexts have a nil Done channel.

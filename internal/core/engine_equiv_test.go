@@ -15,7 +15,7 @@ import (
 // TestEngineEquivalence is the differential harness for the optimized
 // execution engines: every program under the baseline configurations and
 // every Table 2 hardware row runs on the translated engine, the native
-// closure-threaded engine, and the single-step reference path, and
+// engine (translated plus superblocks), and the single-step reference path, and
 // everything observable — statistics, registers, memory, output, and the
 // decoded result — must be identical across all three. An engine is
 // only a valid optimization if it does not change a single reproduced
@@ -89,8 +89,11 @@ func TestEngineEquivalence(t *testing.T) {
 					if engine == mipsx.EngineTranslated && m.Trans.Fallbacks != 0 {
 						t.Errorf("%s: translated engine fell back to the reference engine", cfg)
 					}
-					if engine == mipsx.EngineNative && m.Native.Fallbacks != 0 {
-						t.Errorf("%s: native engine fell back to another engine", cfg)
+					// Bit-identity alone would pass if the native engine never
+					// entered a superblock, so its runs must show streams.
+					if engine == mipsx.EngineNative && (m.Native.Fallbacks != 0 || m.Native.SBRuns == 0) {
+						t.Errorf("%s: native engine ran %d superblock streams with %d fallbacks, want streams and no fallback",
+							cfg, m.Native.SBRuns, m.Native.Fallbacks)
 					}
 				}
 			}

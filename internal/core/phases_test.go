@@ -10,10 +10,10 @@ import (
 )
 
 // TestRunPhases pins the per-run phase timeline: an uncached run records
-// build phases (parse, compile), execute, the JIT phases carved out of
-// execute, and the stats flush; the matching run_phase_seconds histograms
-// land in the registry; and a cache hit replays the original phases
-// without re-recording.
+// build phases (parse, compile), machine construction, execute, the JIT
+// phases carved out of execute, and the stats flush; the matching
+// run_phase_seconds histograms land in the registry; and a cache hit
+// replays the original phases without re-recording.
 func TestRunPhases(t *testing.T) {
 	r := NewRunner()
 	p := programs.MustByName("comp")
@@ -31,7 +31,7 @@ func TestRunPhases(t *testing.T) {
 		phases[s.Phase] = s
 	}
 	for _, want := range []string{
-		obs.PhaseParse, obs.PhaseCompile, obs.PhaseExecute,
+		obs.PhaseParse, obs.PhaseCompile, obs.PhaseNewMachine, obs.PhaseExecute,
 		obs.PhaseTranslate, obs.PhaseStatsFlush,
 	} {
 		s, ok := phases[want]
@@ -48,6 +48,10 @@ func TestRunPhases(t *testing.T) {
 	if ex, tr := phases[obs.PhaseExecute], phases[obs.PhaseTranslate]; tr.StartUS != ex.StartUS || tr.DurUS > ex.DurUS {
 		t.Errorf("translate span %+v not nested in execute %+v", tr, ex)
 	}
+	// Machine construction sits between the build and execute spans.
+	if co, nm, ex := phases[obs.PhaseCompile], phases[obs.PhaseNewMachine], phases[obs.PhaseExecute]; nm.StartUS < co.StartUS+co.DurUS || ex.StartUS < nm.StartUS+nm.DurUS {
+		t.Errorf("new-machine span %+v not between compile %+v and execute %+v", nm, co, ex)
+	}
 	// Compile follows parse on the shared origin.
 	if pa, co := phases[obs.PhaseParse], phases[obs.PhaseCompile]; co.StartUS < pa.StartUS+pa.DurUS {
 		t.Errorf("compile %+v begins before parse %+v ends", co, pa)
@@ -57,6 +61,7 @@ func TestRunPhases(t *testing.T) {
 	for _, key := range []string{
 		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseExecute),
 		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseParse),
+		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseNewMachine),
 		obs.Labeled("run_latency_seconds", "cache", "miss"),
 	} {
 		if h, ok := snap.Histograms[key]; !ok || h.Count == 0 {

@@ -396,22 +396,22 @@ type Program struct {
 	tblocks []atomic.Pointer[tblock]
 	blist   atomic.Pointer[[]*tblock]
 
-	// Native compilation for the closure-threaded engine, pinned to the
-	// hardware config of the first native run (see nclosure.go).
+	// Native-engine state (formed superblocks), pinned to the hardware
+	// config of the first native run (see native.go).
 	nat atomic.Pointer[nativeProg]
 
 	// Wall time consumed by the lazy JIT work above, accumulated on the
 	// translation and native-compilation slow paths only (never the
-	// dispatch loops): block translation under tmu, closure compilation,
-	// and superblock formation. Exposed through JITTimes so the runner
-	// can attribute these phases per run by delta.
+	// dispatch loops): block translation under tmu and superblock
+	// formation. Exposed through JITTimes so the runner can attribute
+	// these phases per run by delta.
 	transNS  atomic.Int64
 	nativeNS atomic.Int64
 }
 
 // JITTimes reports the cumulative wall time this program's lazy block
-// translation (translate phase) and native closure/superblock
-// compilation (native-compile phase) have consumed.
+// translation (translate phase) and superblock formation
+// (native-compile phase) have consumed.
 func (p *Program) JITTimes() (translate, nativeCompile time.Duration) {
 	return time.Duration(p.transNS.Load()), time.Duration(p.nativeNS.Load())
 }

@@ -214,9 +214,14 @@ type tblock struct {
 	steps      []tstep
 	bodyStalls []stallRec
 	term       tterm
-	// nat is the block's native (closure-threaded) compilation, built
-	// lazily under the program's tmu (see nclosure.go).
-	nat atomic.Pointer[nblock]
+	// sb is the superblock anchored at this block, if the native engine
+	// has formed one (published under the program's tmu, see
+	// superblock.go). sbTried counts the formation attempts made for this
+	// head; a failed attempt (typically for lack of direction evidence) is
+	// retried at higher body counts, staged early and then at a slow
+	// unbounded cadence (see sbRetryAt).
+	sb      atomic.Pointer[sblock]
+	sbTried atomic.Int32
 }
 
 // blockCtr is one machine's execution counters for one block: body

@@ -19,13 +19,13 @@ const (
 	// ground truth the other engines are tested against, and the engine
 	// that serves every Observer.
 	EngineReference
-	// EngineNative is the closure-threaded engine (native.go): translated
-	// blocks are compiled into chains of Go closures specialized on the
-	// active hardware config, and hot chained-block paths are flattened
-	// into superblocks executed with a single counter increment. Honours
-	// Ctx and falls back like the translated engine, and additionally to
-	// the translated engine when the program is already natively compiled
-	// for a different hardware config.
+	// EngineNative is the translated engine's block loop plus superblocks
+	// (native.go, superblock.go): hot chained-block paths are flattened
+	// into check-elided streams that run through the same dispatch switch
+	// and are charged with a single counter increment per complete run.
+	// Honours Ctx and falls back like the translated engine; when the
+	// program's superblocks are pinned to a different hardware config it
+	// runs the same loop without them.
 	EngineNative
 )
 
@@ -125,11 +125,10 @@ func (t *TransStats) Accumulate(o *TransStats) {
 // superblock stream executions (each covering several block runs) and
 // SBSideExits the streams abandoned partway.
 type NativeStats struct {
-	Compiled    uint64 `json:"compiled"`      // blocks closure-compiled into the program's cache by this machine
 	SuperBlocks uint64 `json:"superblocks"`   // superblocks formed by this machine
 	BlockRuns   uint64 `json:"block_runs"`    // completed basic-block executions (superblock runs included)
 	ChainHits   uint64 `json:"chain_hits"`    // block transitions resolved through a chain pointer
-	Fallbacks   uint64 `json:"fallbacks"`     // RunNative calls that delegated to another engine
+	Fallbacks   uint64 `json:"fallbacks"`     // RunNative calls that fell back: to the reference engine, or to running without superblocks
 	SBRuns      uint64 `json:"sb_runs"`       // complete superblock stream executions
 	SBSideExits uint64 `json:"sb_side_exits"` // superblock streams exited before completion
 	SlowRuns    uint64 `json:"slow_runs"`     // block executions dispatched on the per-block path
@@ -145,7 +144,6 @@ type NativeStats struct {
 
 // Accumulate adds o's counters into n.
 func (n *NativeStats) Accumulate(o *NativeStats) {
-	n.Compiled += o.Compiled
 	n.SuperBlocks += o.SuperBlocks
 	n.BlockRuns += o.BlockRuns
 	n.ChainHits += o.ChainHits

@@ -1,7 +1,7 @@
 package mipsx
 
 // Engine introspection: a read-only summary of a Program's lazily built
-// translation and native-compilation state, safe to take while machines
+// translation and superblock state, safe to take while machines
 // are running (everything here is read through the same atomics the
 // engines publish with). The numbers describe the shared per-Program
 // caches — block formation, superinstruction fusion, chain and
@@ -28,10 +28,8 @@ type EngineIntrospection struct {
 	// ICachedTerms of those have a populated inline target cache.
 	IndirectTerms int `json:"indirect_terms"`
 	ICachedTerms  int `json:"icached_terms"`
-	// NativeBlocks is the number of blocks with a compiled closure chain;
-	// SuperBlocks the superblocks formed over hot chains, flattening
-	// SuperBlockElems block elements in total.
-	NativeBlocks    int `json:"native_blocks"`
+	// SuperBlocks is the number of superblocks formed over hot chains,
+	// flattening SuperBlockElems block elements in total.
 	SuperBlocks     int `json:"superblocks"`
 	SuperBlockElems int `json:"superblock_elems"`
 	// Superblock dataflow-pass totals across all formed streams: the unit
@@ -71,9 +69,6 @@ func (p *Program) Introspect() EngineIntrospection {
 				if b.term.icache.Load() != nil {
 					ei.ICachedTerms++
 				}
-			}
-			if b.nat.Load() != nil {
-				ei.NativeBlocks++
 			}
 		}
 	}

@@ -80,9 +80,10 @@ func TestSBExitSpillbackClamp(t *testing.T) {
 }
 
 // TestNativeConfigFallback pins the config-mismatch fallback: a program
-// natively compiled for one hardware config must refuse a compilation for
-// a different config (the caller falls back to the translated engine)
-// rather than recompile or run mis-specialized closures.
+// whose native state is pinned to one hardware config must refuse native
+// state for a different config (the caller runs without superblocks)
+// rather than re-form or run streams whose elisions assumed another tag
+// geometry.
 func TestNativeConfigFallback(t *testing.T) {
 	p := &Program{}
 	hw1 := HWConfig{TagShift: 27, TagMask: 0x1f, MemAddrMask: ^uint32(0)}
@@ -92,9 +93,73 @@ func TestNativeConfigFallback(t *testing.T) {
 		t.Fatal("first nativeFor returned nil")
 	}
 	if got := p.nativeFor(&hw2); got != nil {
-		t.Fatal("nativeFor for a different config must return nil (fallback), got a compilation")
+		t.Fatal("nativeFor for a different config must return nil (fallback), got native state")
 	}
 	if again := p.nativeFor(&hw1); again != np {
-		t.Fatal("nativeFor for the original config must return the existing compilation")
+		t.Fatal("nativeFor for the original config must return the existing native state")
+	}
+}
+
+// TestNativeConfigMismatchRun drives the config-mismatch fallback end to
+// end: a program whose superblocks are pinned to one hardware config is
+// run natively under another. The run must count exactly one fallback,
+// run no superblock stream, still execute on the block loop (not the
+// reference engine), and match a reference run under the second config
+// bit for bit. The loop's tag branch resolves differently under the two
+// tag geometries, so a stream formed for the first would be wrong here.
+func TestNativeConfigMismatchRun(t *testing.T) {
+	a := NewAsm()
+	main := a.NewLabel("main")
+	loop := a.NewLabel("loop")
+	skip := a.NewLabel("skip")
+	a.Bind(main)
+	a.Li(11, int32(uint32(5)<<27|0x140))
+	a.Li(13, 0)
+	a.Bind(loop)
+	a.Bteq(11, 5, skip) // tag 5 at shift 27; tag 20 at shift 25
+	a.Addi(14, 14, 1)
+	a.Bind(skip)
+	a.Addi(15, 15, 3)
+	a.Addi(13, 13, 1)
+	a.Blti(13, 500, loop)
+	a.Halt()
+	p, err := a.Finish("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw1 := HWConfig{TagShift: 27, TagMask: 31, TrapHandler: -1, CheckFailHandler: -1}
+	hw2 := HWConfig{TagShift: 25, TagMask: 127, TrapHandler: -1, CheckFailHandler: -1}
+
+	pin := NewMachine(p, 1024, hw1)
+	pin.MaxCycles = 1_000_000
+	if err := pin.RunNative(); err != nil {
+		t.Fatal(err)
+	}
+	if pin.Native.SBRuns == 0 || pin.Native.Fallbacks != 0 {
+		t.Fatalf("pinning run: %+v, want superblock runs and no fallback", pin.Native)
+	}
+
+	ref := NewMachine(p, 1024, hw2)
+	ref.MaxCycles = 1_000_000
+	if err := ref.RunReference(); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(p, 1024, hw2)
+	m.MaxCycles = 1_000_000
+	if err := m.RunNative(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Native.Fallbacks != 1 || m.Native.SBRuns != 0 || m.Native.SuperBlocks != 0 {
+		t.Errorf("mismatched run: %+v, want one fallback and no superblocks", m.Native)
+	}
+	if m.Native.BlockRuns == 0 || m.Trans.Fallbacks != 0 {
+		t.Errorf("mismatched run left the block loop: native %+v, translated %+v", m.Native, m.Trans)
+	}
+	if m.Stats != ref.Stats || m.Regs != ref.Regs || m.PC != ref.PC || m.Output.String() != ref.Output.String() {
+		t.Errorf("mismatched run diverges from reference:\nnative: %+v\nref:    %+v", m.Stats, ref.Stats)
+	}
+	if m.Regs[14] != ref.Regs[14] || pin.Regs[14] == m.Regs[14] {
+		t.Errorf("tag branch resolved alike under both configs (r14 %d / %d): the fixture no longer distinguishes them",
+			pin.Regs[14], m.Regs[14])
 	}
 }

@@ -127,11 +127,11 @@ type sbOptResult struct {
 }
 
 // optimizeUnits runs elision, refusion and edge fusion over the stream.
-func optimizeUnits(units []sbUnit, nElems int, sp *nspec, opt SBOpt) sbOptResult {
+func optimizeUnits(units []sbUnit, nElems int, sig *nsig, opt SBOpt) sbOptResult {
 	res := sbOptResult{rawUnits: int32(len(units))}
 	elided := make([]uint16, nElems)
 	if !opt.NoElide {
-		units = elideUnits(units, sp, elided, &res)
+		units = elideUnits(units, sig, elided, &res)
 	}
 	units = refuseUnits(units, !opt.NoRefuse)
 	if !opt.NoRefuse {
@@ -222,10 +222,10 @@ type vnAn struct {
 	posTag map[uint32]uint8 // VN -> proven tag field (from a true fTAGEQ)
 	posImm map[uint32]int32 // VN -> proven value (from a true fEQI)
 	mt     map[mtKey]bool
-	sp     *nspec
+	sig    *nsig // the config the stream is formed for (tag geometry)
 }
 
-func newVNAn(sp *nspec) *vnAn {
+func newVNAn(sig *nsig) *vnAn {
 	a := &vnAn{
 		tab:    make(map[vnKey]uint32),
 		consts: make(map[uint32]int32),
@@ -233,7 +233,7 @@ func newVNAn(sp *nspec) *vnAn {
 		posTag: make(map[uint32]uint8),
 		posImm: make(map[uint32]int32),
 		mt:     make(map[mtKey]bool),
-		sp:     sp,
+		sig:    sig,
 	}
 	for i := range a.vn {
 		a.vn[i] = uint32(i)
@@ -395,7 +395,7 @@ func (a *vnAn) lookupFact(k factKey) (bool, bool) {
 			v = uint32(c1)
 		}
 		if ok1 {
-			return uint8((v>>a.sp.tagShift)&a.sp.tagMask) == uint8(k.imm), true
+			return uint8((v>>a.sig.tagShift)&a.sig.tagMask) == uint8(k.imm), true
 		}
 	case fEQ, fLT:
 		if k.a == k.b {
@@ -440,8 +440,8 @@ func (a *vnAn) recordFact(k factKey, val bool) {
 // elideUnits is the forward availability walk. It returns the surviving
 // units, bumps elided[elem] for every check site removed or weakened, and
 // fills the pass totals in res.
-func elideUnits(units []sbUnit, sp *nspec, elided []uint16, res *sbOptResult) []sbUnit {
-	a := newVNAn(sp)
+func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []sbUnit {
+	a := newVNAn(sig)
 	out := units[:0]
 	for i := range units {
 		u := units[i]

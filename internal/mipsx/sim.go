@@ -178,16 +178,11 @@ type Machine struct {
 	// (see translate.go).
 	bctr []blockCtr
 
-	// Native counts what the native (closure-threaded) engine did on this
-	// machine; nctr is its per-superblock run counter, indexed by dense
-	// superblock id (see superblock.go); nst is its reusable exit mailbox.
+	// Native counts what the native engine did on this machine; nctr is
+	// its per-superblock exit-site counter array, indexed through each
+	// superblock's exitBase (see superblock.go).
 	Native NativeStats
 	nctr   []uint64
-	nst    nstate
-	// nregs is the native engine's working register file. The closure
-	// calls keep escape analysis from proving a stack-local file does not
-	// escape, so it lives here to keep steady-state runs allocation-free.
-	nregs [256]uint32
 }
 
 // NewMachine creates a machine with memWords words of zeroed memory.

@@ -7,13 +7,15 @@ package mipsx
 // conditional terminator contributes one edge pseudo-step that bails out of
 // the stream when the branch resolves against the formed direction, and the
 // terminator's delay slots ride along as ordinary steps (omitted entirely
-// when the hot direction annuls them). One complete run of the stream
-// charges the whole path with a single counter increment and a single
-// precomputed cycle addition; the counter expands back into per-block body
-// and direction counts at flush, which the translated engine's existing
-// expansion then turns into exact per-instruction statistics. A side exit
-// spills the completed prefix into the per-block counters immediately and
-// resumes on the cold direction through the ordinary per-block path.
+// when the hot direction annuls them). The stream runs through the block
+// loop's own dispatch switch (translate.go), where the edge kinds below
+// are extra cases. One complete run of the stream charges the whole path
+// with a single counter increment and a single precomputed cycle
+// addition; the counter expands back into per-block body and direction
+// counts at flush, which the block loop's existing expansion then turns
+// into exact per-instruction statistics. A side exit records the
+// completed prefix by exit site and resumes on the cold direction through
+// the ordinary per-block path.
 //
 // Formation is seeded by the per-block execution counters: when a block's
 // body count crosses the hot threshold on some machine, that machine walks
@@ -22,7 +24,7 @@ package mipsx
 // program-wide. MaxCycles safety is a conservative entry guard: the stream
 // is only entered when even its most expensive path cannot cross the cycle
 // limit, so the in-stream steps need no limit checks; near the limit the
-// runner stays on the per-block path, which faults exactly where the
+// loop stays on the per-block path, which faults exactly where the
 // translated engine would.
 
 import (
@@ -60,8 +62,65 @@ const (
 	sbMaxReforms  = 4
 )
 
+// kEdge is the superblock edge pseudo-step: evaluate a conditional branch
+// and side-exit the stream when it resolves against the direction the
+// superblock was formed for. Field conventions: rd holds the branch Op,
+// rs1/rs2/tag/imm its operands, rd2 the superblock element index, rs3 is
+// nonzero when the hot direction is taken.
+const kEdge uint8 = 96
+
+// kEdgeJr is the superblock edge pseudo-step for an indirect jump:
+// side-exit the stream when the jump register does not hold the code
+// address the superblock was formed for. Field conventions: rs1 holds the
+// jump's register, imm the matched code address (target pc<<2, aligned by
+// construction, so a misaligned register value exits the stream and
+// faults on the ordinary path), rd2 the superblock element index.
+const kEdgeJr uint8 = 97
+
+// kEdgeJrL is kEdgeJr fused with a jalr's return-address write (imm2),
+// performed only once the guard has passed — a side exit leaves the link
+// register untouched for the ordinary terminator to write.
+const kEdgeJrL uint8 = 98
+
+// kEdgeJrA is kEdgeJr fused with its sole surviving delay-slot
+// instruction when that instruction is an ADDI (rd ← rs2 + imm2, the
+// shape a return's stack-pointer adjustment takes). The ADDI executes
+// only once the guard has passed, exactly as the separate slot step would
+// have — a side exit re-runs the whole block on the ordinary path.
+const kEdgeJrA uint8 = 95
+
+// kEdgeOp0 starts the per-opcode edge kinds: kEdgeOp0 + (op - BEQ)
+// evaluates that branch directly, skipping kEdge's inner opcode switch on
+// the hottest dispatch in a superblock stream. Same field conventions as
+// kEdge.
+const kEdgeOp0 uint8 = 99
+
+// kEdgeSrliBnei fuses the software tag-check idiom's tag extract into its
+// compare edge: rd ← rs1 >> imm (a body write of the edge's own element,
+// performed unconditionally, exactly as the separate srli step would),
+// then the bnei edge tests the extracted value against imm2. rd2/rs3 as
+// in kEdge.
+const kEdgeSrliBnei uint8 = 111
+
+// kEdgeBneiAnd fuses a bnei edge with the *next* element's leading and
+// (the untag that follows a passed software tag check): the guard runs
+// first — rs1/imm/rd2/rs3 as in kEdge — and only when it passes is
+// rd ← tag & rs2 performed, so a side exit leaves the next element's
+// state untouched for the per-block path.
+const kEdgeBneiAnd uint8 = 112
+
+// edgeKind picks the edge pseudo-step kind for a conditional branch.
+func edgeKind(op Op) uint8 {
+	if op >= BEQ && op <= BTNE {
+		return kEdgeOp0 + uint8(op-BEQ)
+	}
+	return kEdge
+}
+
 // sbRetryAt reports whether a head's body count has just crossed the
-// formation threshold for attempt number a (0-based).
+// formation threshold for attempt number a (0-based). Every retry point
+// is a multiple of sbHotThreshold, which the block loop uses as a cheap
+// prefilter.
 func sbRetryAt(a int32, body uint64) bool {
 	switch a {
 	case 0:
@@ -343,7 +402,7 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 
 	// The dataflow pass: elision, cross-element refusion, edge fusion.
 	sopt := CurSBOpt()
-	opt := optimizeUnits(units, len(sb.elems), &np.spec, sopt)
+	opt := optimizeUnits(units, len(sb.elems), &np.sig, sopt)
 	sb.steps = opt.steps
 	sb.elidedChecks = opt.elidedChecks
 	sb.droppedSteps = opt.droppedSteps
@@ -361,6 +420,26 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 	list[len(old)] = sb
 	np.sbs.Store(&list)
 	return sb
+}
+
+// formSuperblockAt tries to form a superblock at head on behalf of
+// machine m when head's body count has reached a retry point (see
+// sbRetryAt); the attempt number is claimed first, so concurrent machines
+// crossing the same threshold form the stream once.
+func (m *Machine) formSuperblockAt(head *tblock, body uint64, np *nativeProg) {
+	a := head.sbTried.Load()
+	if !sbRetryAt(a, body) || !head.sbTried.CompareAndSwap(a, a+1) {
+		return
+	}
+	p := m.Prog
+	p.tmu.Lock()
+	if head.sb.Load() == nil {
+		if sb := p.formSuperblock(m, head, np); sb != nil {
+			head.sb.Store(sb)
+			m.Native.SuperBlocks++
+		}
+	}
+	p.tmu.Unlock()
 }
 
 // npcOf is where execution continues after a full hot execution of an
@@ -417,6 +496,17 @@ func (m *Machine) markSBExit(sb *sblock, j int32) {
 	m.nctr[i]++
 }
 
+// sideExit records one stream execution of sb that left at a cold edge of
+// element j, and every sbReformCheck exits at one site checks whether the
+// stream has gone stale (maybeReform).
+func (m *Machine) sideExit(sb *sblock, j int32) {
+	m.Native.SBSideExits++
+	m.markSBExit(sb, j)
+	if m.nctr[int(sb.exitBase)+int(j)]&(sbReformCheck-1) == 0 {
+		m.maybeReform(sb, j)
+	}
+}
+
 // maybeReform replaces a superblock whose guarded direction at element j
 // has gone stale. Formation locks directions in from early samples; when a
 // branch's behavior shifts, one exit site starts absorbing most entries
@@ -430,7 +520,7 @@ func (m *Machine) markSBExit(sb *sblock, j int32) {
 func (m *Machine) maybeReform(sb *sblock, j int32) {
 	base := int(sb.exitBase)
 	exits := m.nctr[base+int(j)]
-	if exits&(sbReformCheck-1) != 0 || sb.reforms >= sbMaxReforms {
+	if sb.reforms >= sbMaxReforms {
 		return
 	}
 	hi := base + len(sb.elems)
@@ -445,8 +535,7 @@ func (m *Machine) maybeReform(sb *sblock, j int32) {
 		return
 	}
 	head := sb.elems[0].b
-	bn := head.nat.Load()
-	if bn == nil || bn.sb.Load() != sb {
+	if head.sb.Load() != sb {
 		return
 	}
 	p := m.Prog
@@ -456,10 +545,10 @@ func (m *Machine) maybeReform(sb *sblock, j int32) {
 	}
 	m.expandSBCtrs()
 	p.tmu.Lock()
-	if bn.sb.Load() == sb {
+	if head.sb.Load() == sb {
 		if nsb := p.formSuperblock(m, head, np); nsb != nil {
 			nsb.reforms = sb.reforms + 1
-			bn.sb.Store(nsb)
+			head.sb.Store(nsb)
 			m.Native.SuperBlocks++
 		}
 	}

@@ -1,9 +1,10 @@
 package mipsx
 
-// The basic-block translation engine (the execution half; block discovery
-// and translation live in blocks.go).
+// The block loop shared by the translated and native engines (the
+// execution half; block discovery and translation live in blocks.go,
+// superblock formation in superblock.go).
 //
-// RunTranslated executes translated blocks: one counter increment and two
+// runBlocks executes translated blocks: one counter increment and two
 // additions charge a whole block body, the step loop dispatches fused
 // superinstructions, and the terminator resolves the branch, runs both
 // delay slots through the same dispatch loop as block bodies (they are
@@ -19,6 +20,14 @@ package mipsx
 // included; the cycle-limit fault is the one exception, see below), which
 // the differential tests assert.
 //
+// The native engine is this loop plus superblocks: at block entry, when
+// the program's native state is pinned to the machine's hardware config,
+// a hot block anchors a superblock stream (superblock.go) run by the
+// stream executor (execSteps, sbexec.go) and charged with one counter
+// bump and one precomputed cycle addition per complete run. Everything a
+// stream cannot finish itself — side exits, faults, traps, terminal
+// terminators — continues on this loop's ordinary paths.
+//
 // Rare events leave the fast path without breaking that identity:
 //   - A fault inside a body backs out the block's static accounting and
 //     re-charges the executed prefix instruction by instruction
@@ -27,27 +36,34 @@ package mipsx
 //   - A fault inside a delay slot reproduces the reference engine's state at
 //     that point: branch and executed slots counted, pending-branch
 //     pipeline restored.
-//   - LDC/STC check failures and ADDTC/SUBTC traps back out the body
-//     accounting the same way, then redirect to the software handler.
+//   - LDC/STC check failures, LDM/STM granule failures and ADDTC/SUBTC
+//     traps back out the body accounting the same way, then redirect to
+//     the software handler.
 //   - Control transfers whose delay slots are too subtle to run inline
 //     (nested control, checked accesses, SYS — or slots past the end of
 //     the stream) are delegated to the reference stepper (termInterp).
+//   - A superblock edge that resolves against the formed direction side
+//     exits: the completed prefix is recorded by exit site, and the
+//     exiting element's terminator resolves on the ordinary path. A fault
+//     or trap inside a stream is attributed to the element holding the
+//     faulting instruction and handled as a body or slot fault there.
 //
 // MaxCycles and cancellation share one test: limit is the earlier of
 // MaxCycles and the next Ctx poll point (cycleLimit), compared at control
 // transfers and trap entries rather than after every instruction as the
 // reference engine does, so a runaway run can overshoot MaxCycles by one
-// straight-line run of code before faulting (the native engine faults at
-// exactly the same point). Crossing it enters pollLimit, which faults past MaxCycles, stops
-// with *Canceled when Ctx is done, or advances limit. A canceled run stops
-// where no pipeline state is pending: at a terminator before its branch
-// dispatches, at a trap entry, or after a delegated transfer's delay
-// slots drain.
+// straight-line run of code before faulting (both block engines fault at
+// exactly the same point: a superblock is entered only when its most
+// expensive path cannot cross limit). Crossing it enters pollLimit, which
+// faults past MaxCycles, stops with *Canceled when Ctx is done, or
+// advances limit. A canceled run stops where no pipeline state is
+// pending: at a terminator before its branch dispatches, at a trap entry,
+// or after a delegated transfer's delay slots drain.
 //
-// The engine transparently falls back to the reference engine when an Observer
-// is attached (tracing keeps working) or when the machine stops
-// mid-pipeline (pending branch or interlock from a prior Step), so it
-// never needs to model resumed pipeline state.
+// Both engines transparently fall back to the reference engine when an
+// Observer is attached (tracing keeps working) or when the machine stops
+// mid-pipeline (pending branch or interlock from a prior Step), so the
+// loop never needs to model resumed pipeline state.
 
 import (
 	"math"
@@ -63,6 +79,113 @@ func (m *Machine) RunTranslated() error {
 		m.Trans.Fallbacks++
 		return m.RunReference()
 	}
+	return runBlocks[translatedLoop](m, nil)
+}
+
+// Dispatch phases of the block loop.
+const (
+	phBody   uint8 = iota // a block body
+	phSlots               // a terminator's precompiled delay slots
+	phStream              // a superblock stream (aborts only; streams run in execSteps)
+)
+
+// Why a step left the dispatch loop through abort.
+const (
+	abFault  uint8 = iota // simulator fault: failf, failargs set
+	abCheck               // LDC/STC tag mismatch: trapA the item, trapB the wanted tag
+	abMemtag              // LDM/STM granule mismatch: trapA the item, trapB the address
+	abTrap                // ADDTC/SUBTC trap: trapA, trapB the operands
+	abSide                // superblock side exit (streams only): sbj, taken
+)
+
+// stepExit records why a step left a dispatch loop early — a block body's
+// in runBlocks or a stream's in execSteps: a fault, check failure or trap
+// at source pc fpc (handled at runBlocks' abort), or a superblock side
+// exit at element sbj whose branch went the taken way.
+type stepExit struct {
+	why      uint8
+	taken    bool
+	sbj      int32
+	fpc      int
+	failf    string
+	failargs []any
+	// abCheck: the item and the wanted tag; abMemtag: the item and the
+	// checked address; abTrap: the two operands, the opcode and the
+	// original destination register.
+	trapA, trapB uint32
+	trapOp       uint8
+	trapRd       uint8
+}
+
+// fault records a simulator fault. The args slice is the only allocation
+// on the fault path, and only happens when a run actually faults.
+func (x *stepExit) fault(pc int32, f string, args ...any) {
+	x.why, x.fpc, x.failf, x.failargs = abFault, int(pc), f, args
+}
+
+// opFault records a fault whose message names step s's opcode.
+func (x *stepExit) opFault(s *tstep, f string) {
+	x.fault(s.off, f, Op(s.kind))
+}
+
+// memFault records the misaligned or out-of-range fault of one word
+// access at pc.
+func (x *stepExit) memFault(pc int32, addr uint32, isLoad bool) {
+	x.why, x.fpc = abFault, int(pc)
+	x.failf, x.failargs = memFault(addr, isLoad)
+}
+
+// trap records a tag-check, granule-check or arithmetic-trap exit at step
+// s. ADDTC/SUBTC carry their original destination register in s.tag.
+func (x *stepExit) trap(why uint8, s *tstep, a, b uint32) {
+	x.why, x.fpc, x.trapA, x.trapB = why, int(s.off), a, b
+	x.trapOp, x.trapRd = s.kind, s.tag
+}
+
+// side records a cold edge at element j.
+func (x *stepExit) side(j uint8, taken bool) {
+	x.why, x.sbj, x.taken = abSide, int32(j), taken
+}
+
+// blockRun is the block loop's per-run bookkeeping: which engine the run
+// is credited to, the native state, the engine counters, and the record
+// of the last early exit from a dispatch loop.
+type blockRun struct {
+	np         *nativeProg // superblocks enabled when non-nil
+	x          stepExit    // why the last step left a dispatch loop early
+	sb         *sblock     // the stream x refers to, when phase is phStream
+	sbIdx      int32       // the index of the step that stopped it
+	translated uint64      // blocks this run translated (Trans only)
+	// How the run ends, read at flush: a fault message, an error from a
+	// delegated Step, or the Ctx error that canceled it.
+	failf     string
+	failargs  []any
+	failErr   error
+	cancelErr error
+	chainHits uint64
+	slowRuns  uint64 // per-block body runs while superblocks are enabled
+}
+
+// The block loop's two instantiations. runBlocks is generic only so that
+// each engine gets its own compiled copy: the array length is a constant
+// in each, so the translated engine's copy contains none of the
+// superblock code. That matters for speed, not just size — in one shared
+// copy the superblock paths that rejoin the terminator after a call
+// (side exits, streams ending at an unpredicted terminator) cost the
+// translated dispatch loop ~20% in register shuffles even though it never
+// takes them, and routing them around the terminator instead costs the
+// native engine ~10% (DESIGN.md §12).
+type (
+	translatedLoop [0]byte
+	nativeLoop     [1]byte
+)
+
+// runBlocks is the block loop. L selects the engine: nativeLoop credits
+// the run to m.Native and, when np is non-nil (the program's native state
+// pinned to m.HW), runs superblocks; translatedLoop credits m.Trans.
+func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error {
+	var engine L
+	native := len(engine) == 1
 	p := m.Prog
 	p.initTranslation()
 	dec := p.dec
@@ -83,15 +206,12 @@ func (m *Machine) RunTranslated() error {
 	copy(regs[:32], m.Regs[:])
 	r := &regs
 
-	halted := m.halted
 	pc := m.PC
 	cycles := st.Cycles
-	instrs := st.Instrs
 	// The folded MaxCycles/cancellation threshold; with a Ctx attached the
 	// first control transfer polls, so a pre-canceled run stops at once.
 	limit := m.cycleLimit(cycles)
 	var over bool
-	var cancelErr error
 
 	if len(m.execCounts) < len(dec) {
 		m.execCounts = make([]uint64, len(dec))
@@ -100,30 +220,34 @@ func (m *Machine) RunTranslated() error {
 	// Per-block counters, indexed by dense block id; grown (with headroom)
 	// when execution reaches a block translated past the current size.
 	bctr := m.bctr
+	// The loop's bookkeeping lives in br, which stays in memory (its
+	// address is taken), so none of it competes with the step dispatch
+	// for registers.
+	br := blockRun{np: np}
 
-	// Pipeline state reconstructed only on MaxCycles faults, so a
-	// subsequent Step resumes exactly where the run stopped.
-	pendTarget, pendCount, pendSquash := -1, 0, false
+	// The pipeline state (m.pendTarget and friends) is written only on
+	// MaxCycles faults and around delegated transfers, so a subsequent
+	// Step resumes exactly where the run stopped. The run was not entered
+	// mid-pipeline (see RunTranslated), so only the target needs a reset.
+	m.pendTarget = -1
 	var squashed uint64
-	var failf string
-	var failargs []any
-	var failErr error
-	var fpc int
 	var b *tblock
+	var t *tterm
 	var trans bool
-	// Dispatch phase: the step loop runs the block body, then (inSlots) a
-	// terminator's precompiled delay slots; pendT/condTaken/itgt carry the
-	// resolved transfer across the slot phase.
+	// Dispatch phase: the step loop runs a block body or a terminator's
+	// precompiled delay slots (phSlots; pendT/condTaken/itgt carry the
+	// resolved transfer across the slot phase). phStream marks an early
+	// exit from superblock br.sb's stream, which runs in execSteps.
 	var steps []tstep
 	var si int
-	var inSlots bool
+	var phase uint8
 	var o *outcome
 	var condTaken bool
 	var itgt int
 	var pendT int
 	var bc *blockCtr
 
-	if halted {
+	if m.halted {
 		goto flush
 	}
 
@@ -132,18 +256,13 @@ loop:
 		if b == nil {
 			b, trans = p.blockAt(pc)
 			if b == nil {
-				failf = "pc out of range"
+				br.failf = "pc out of range"
 				break loop
 			}
 			if trans {
-				m.Trans.Translated++
+				br.translated++
 			}
 		}
-
-		// Block body: the whole body's cycles (including static interlock
-		// stalls) are charged up front; per-instruction counts, categories
-		// and stall attribution are expanded from the block counters at
-		// flush.
 		if int(b.id) >= len(bctr) {
 			grown := make([]blockCtr, int(b.id)+64)
 			copy(grown, bctr)
@@ -151,11 +270,82 @@ loop:
 			m.bctr = bctr
 		}
 		bc = &bctr[b.id]
+
+		if native && br.np != nil {
+			// Superblock fast path: enter only when even the most
+			// expensive path through the stream cannot cross the cycle
+			// limit, so the stream itself needs no limit checks; near the
+			// limit (or a cancellation poll point) the per-block path
+			// below faults or polls exactly where the translated engine
+			// would.
+			if sb := b.sb.Load(); sb != nil {
+				if cycles+sb.maxCyc <= limit {
+					if idx := execSteps(sb.steps, r, mem, &m.HW, &br.x); idx >= 0 {
+						// The stream left early at step idx: a cold edge
+						// side-exits, anything else aborts as if step idx
+						// of a body had.
+						br.sb, br.sbIdx, phase = sb, int32(idx), phStream
+						if br.x.why == abSide {
+							goto sideExit
+						}
+						goto abort
+					}
+					// The stream ran to completion: one exit-site bump and
+					// the precomputed cycle sum charge every element (the
+					// counters expand into per-block counts at flush). This
+					// function is past the inliner's budget, so the fast
+					// paths of markSBExit and growBctr are spelled out here
+					// and on the side-exit path.
+					if i := int(sb.exitBase) + len(sb.elems); i < len(m.nctr) {
+						m.nctr[i]++
+					} else {
+						m.markSBExit(sb, int32(len(sb.elems)))
+					}
+					cycles += sb.fullCyc
+					m.Native.SBRuns++
+					if sb.termB != nil {
+						// Terminal element: its body has run and been
+						// charged; resolve its unpredicted terminator
+						// ordinarily.
+						b = sb.termB
+						if int(b.id) >= len(bctr) {
+							m.growBctr(b.id)
+							bctr = m.bctr
+						}
+						bc = &bctr[b.id]
+						phase = phBody
+						goto terminator
+					}
+					b = sb.next.Load()
+					if b == nil {
+						pc = int(sb.nextPC)
+						b, trans = p.blockAt(pc)
+						if b == nil {
+							br.failf = "pc out of range"
+							break loop
+						}
+						if trans {
+							br.translated++
+						}
+						sb.next.Store(b)
+					}
+					continue loop
+				}
+			} else if (bc.body+1)%sbHotThreshold == 0 {
+				m.formSuperblockAt(b, bc.body+1, br.np)
+			}
+			br.slowRuns++
+		}
+
+		// Block body: the whole body's cycles (including static interlock
+		// stalls) are charged up front; per-instruction counts, categories
+		// and stall attribution are expanded from the block counters at
+		// flush.
 		bc.body++
 		cycles += b.bodyCyc
 		steps = b.steps
 		si = 0
-		inSlots = false
+		phase = phBody
 
 	dispatch:
 		for si < len(steps) {
@@ -225,43 +415,29 @@ loop:
 				r[s.rd] = uint32(int32(math.Float32frombits(r[s.rs1])))
 			case uint8(DIV):
 				if r[s.rs2] == 0 {
-					fpc = int(s.off)
-					failf = "division by zero"
-					goto stepFault
+					br.x.fault(s.off, "division by zero")
+					goto abort
 				}
 				r[s.rd] = uint32(int32(r[s.rs1]) / int32(r[s.rs2]))
 			case uint8(REM):
 				if r[s.rs2] == 0 {
-					fpc = int(s.off)
-					failf = "division by zero"
-					goto stepFault
+					br.x.fault(s.off, "division by zero")
+					goto abort
 				}
 				r[s.rd] = uint32(int32(r[s.rs1]) % int32(r[s.rs2]))
 
 			case uint8(LD):
 				addr := uint32(int32(r[s.rs1]) + s.imm)
-				if addr&3 != 0 {
-					fpc = int(s.off)
-					failf, failargs = "misaligned load at %#x", []any{addr}
-					goto stepFault
-				}
-				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off)
-					failf, failargs = "load out of range at %#x", []any{addr}
-					goto stepFault
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					br.x.memFault(s.off, addr, true)
+					goto abort
 				}
 				r[s.rd] = mem[addr>>2]
 			case uint8(ST):
 				addr := uint32(int32(r[s.rs1]) + s.imm)
-				if addr&3 != 0 {
-					fpc = int(s.off)
-					failf, failargs = "misaligned store at %#x", []any{addr}
-					goto stepFault
-				}
-				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off)
-					failf, failargs = "store out of range at %#x", []any{addr}
-					goto stepFault
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					br.x.memFault(s.off, addr, false)
+					goto abort
 				}
 				mem[addr>>2] = r[s.rs2]
 			case uint8(LDT):
@@ -274,60 +450,23 @@ loop:
 			case uint8(STT):
 				addr := uint32(int32(r[s.rs1])+s.imm) & memAddrMask &^ 3
 				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off)
-					failf, failargs = "store out of range at %#x", []any{addr}
-					goto stepFault
+					br.x.memFault(s.off, addr, false)
+					goto abort
 				}
 				mem[addr>>2] = r[s.rs2]
 			case uint8(LDC), uint8(STC):
 				v := r[s.rs1]
 				if uint8((v>>tagShift)&tagMask) != s.tag {
-					// Tag mismatch: back out the static block accounting,
-					// re-charge the executed prefix, then enter the
-					// type-error path exactly as the reference engine does.
-					// (LDC/STC never appear in delay slots — see slotSimple —
-					// so this is always a body step.)
-					bc.body--
-					cycles = m.accountPrefix(int(b.start), int(s.off), cycles-b.bodyCyc)
-					if m.HW.CheckFailHandler < 0 {
-						pc = int(s.off)
-						failf, failargs = "checked access tag mismatch: item %#x, want tag %d", []any{v, s.tag}
-						break loop
-					}
-					r[RT0] = v
-					r[RT1] = uint32(s.tag)
-					cycles += trapCycles
-					st.Traps++
-					pc = m.HW.CheckFailHandler
-					if cycles > limit {
-						if limit, over, cancelErr = m.pollLimit(cycles); over {
-							failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-							break loop
-						} else if cancelErr != nil {
-							break loop
-						}
-					}
-					b = nil
-					continue loop
+					// Tag mismatch: enter the type-error path. (LDC/STC
+					// never appear in delay slots — see slotSimple — so
+					// this is always a body step.)
+					br.x.trap(abCheck, s, v, uint32(s.tag))
+					goto abort
 				}
 				addr := uint32(int32(v)+s.imm) & memAddrMask
-				if addr&3 != 0 {
-					fpc = int(s.off)
-					if s.kind == uint8(LDC) {
-						failf, failargs = "misaligned load at %#x", []any{addr}
-					} else {
-						failf, failargs = "misaligned store at %#x", []any{addr}
-					}
-					goto stepFault
-				}
-				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off)
-					if s.kind == uint8(LDC) {
-						failf, failargs = "load out of range at %#x", []any{addr}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{addr}
-					}
-					goto stepFault
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					br.x.memFault(s.off, addr, s.kind == uint8(LDC))
+					goto abort
 				}
 				if s.kind == uint8(LDC) {
 					r[s.rd] = mem[addr>>2]
@@ -353,43 +492,16 @@ loop:
 						}
 					}
 					if viol {
-						// Granule mismatch: back out the static block
-						// accounting, re-charge the executed prefix, then enter
-						// the memtag-error path exactly as the reference engine does.
-						// (LDM/STM never appear in delay slots — see slotSimple —
-						// so this is always a body step.)
-						bc.body--
-						cycles = m.accountPrefix(int(b.start), int(s.off), cycles-b.bodyCyc)
-						if m.HW.MemtagFailHandler < 0 {
-							pc = int(s.off)
-							failf, failargs = "memtag granule check failed: item %#x, addr %#x", []any{item, addr}
-							break loop
-						}
-						r[RT0] = item
-						r[RT1] = addr
-						cycles += trapCycles
-						st.Traps++
-						pc = m.HW.MemtagFailHandler
-						if cycles > limit {
-							if limit, over, cancelErr = m.pollLimit(cycles); over {
-								failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-								break loop
-							} else if cancelErr != nil {
-								break loop
-							}
-						}
-						b = nil
-						continue loop
+						// Granule mismatch: enter the memtag-error path.
+						// (LDM/STM never appear in delay slots — see
+						// slotSimple — so this is always a body step.)
+						br.x.trap(abMemtag, s, item, addr)
+						goto abort
 					}
 				}
 				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off)
-					if s.kind == uint8(LDM) {
-						failf, failargs = "load out of range at %#x", []any{addr}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{addr}
-					}
-					goto stepFault
+					br.x.memFault(s.off, addr, s.kind == uint8(LDM))
+					goto abort
 				}
 				if s.kind == uint8(LDM) {
 					r[s.rd] = mem[addr>>2]
@@ -399,9 +511,8 @@ loop:
 
 			case uint8(ADDTC), uint8(SUBTC):
 				if isIntItem == nil {
-					fpc = int(s.off)
-					failf, failargs = "%s without integer-test hardware", []any{Op(s.kind)}
-					goto stepFault
+					br.x.opFault(s, "%s without integer-test hardware")
+					goto abort
 				}
 				a, bv := r[s.rs1], r[s.rs2]
 				var s64 int64
@@ -415,39 +526,17 @@ loop:
 					s64 != int64(int32(res)) || !isIntItem(res) {
 					// ADDTC/SUBTC never appear in delay slots (slotSimple),
 					// so this is always a body step; no pending branch is
-					// possible here, so the reference engine's trap-in-delay-slot
-					// fault cannot occur. s.tag carries the original rd (rd
-					// itself went through the zero-destination remap).
-					bc.body--
-					cycles = m.accountPrefix(int(b.start), int(s.off), cycles-b.bodyCyc)
-					if m.HW.TrapHandler < 0 {
-						pc = int(s.off)
-						failf, failargs = "unhandled arithmetic trap (%v %#x %#x)", []any{Op(s.kind), a, bv}
-						break loop
-					}
-					mem[TrapOpAddr>>2] = uint32(s.kind)
-					mem[TrapAAddr>>2] = a
-					mem[TrapBAddr>>2] = bv
-					mem[TrapRdAddr>>2] = uint32(s.tag)
-					mem[TrapPCAddr>>2] = uint32(int(s.off) + 1)
-					cycles += trapCycles
-					st.Traps++
-					pc = m.HW.TrapHandler
-					if cycles > limit {
-						if limit, over, cancelErr = m.pollLimit(cycles); over {
-							failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-							break loop
-						} else if cancelErr != nil {
-							break loop
-						}
-					}
-					b = nil
-					continue loop
+					// possible here, so the reference engine's
+					// trap-in-delay-slot fault cannot occur.
+					br.x.trap(abTrap, s, a, bv)
+					goto abort
 				}
 				r[s.rd] = res
 
 			// Fused superinstructions: both halves execute in textual
 			// order, so architectural state matches the unfused stream.
+			// A fault in a second half attributes to the pc after the
+			// step's own.
 			case kSrliAndi:
 				r[s.rd] = r[s.rs1] >> (uint32(s.imm) & 31)
 				r[s.rd2] = r[s.rs3] & uint32(s.imm2)
@@ -473,184 +562,104 @@ loop:
 					r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
 				}
 				addr := uint32(int32(r[s.rs3]) + s.imm2)
-				if addr&3 != 0 {
-					fpc = int(s.off) + 1
-					failf, failargs = "misaligned load at %#x", []any{addr}
-					goto stepFault
-				}
-				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					failf, failargs = "load out of range at %#x", []any{addr}
-					goto stepFault
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					br.x.memFault(s.off+1, addr, true)
+					goto abort
 				}
 				r[s.rd2] = mem[addr>>2]
 			case kLdLd:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a1}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, true)
+					goto abort
 				}
 				r[s.rd] = mem[a1>>2]
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a2}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, true)
+					goto abort
 				}
 				r[s.rd2] = mem[a2>>2]
 			case kStSt:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a1}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, false)
+					goto abort
 				}
 				mem[a1>>2] = r[s.rs2]
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a2}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, false)
+					goto abort
 				}
 				mem[a2>>2] = r[s.tag]
 			case kMovLd:
 				r[s.rd] = r[s.rs1]
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a2}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, true)
+					goto abort
 				}
 				r[s.rd2] = mem[a2>>2]
 			case kLdMov:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a1}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, true)
+					goto abort
 				}
 				r[s.rd] = mem[a1>>2]
 				r[s.rd2] = r[s.rs3]
 			case kLdSt:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a1}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, true)
+					goto abort
 				}
 				r[s.rd] = mem[a1>>2]
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a2}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, false)
+					goto abort
 				}
 				mem[a2>>2] = r[s.tag]
 			case kStLd:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a1}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, false)
+					goto abort
 				}
 				mem[a1>>2] = r[s.rs2]
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a2}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, true)
+					goto abort
 				}
 				r[s.rd2] = mem[a2>>2]
 			case kStMov:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a1}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, false)
+					goto abort
 				}
 				mem[a1>>2] = r[s.rs2]
 				r[s.rd2] = r[s.rs3]
-			case kMovSt:
-				r[s.rd] = r[s.rs1]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a2}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a2}
-					}
-					goto stepFault
+			case kMovSt, kAddiSt:
+				if s.kind == kMovSt {
+					r[s.rd] = r[s.rs1]
+				} else {
+					r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
 				}
-				mem[a2>>2] = r[s.tag]
-			case kAddiSt:
-				r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
 				a2 := uint32(int32(r[s.rs3]) + s.imm2)
 				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					fpc = int(s.off) + 1
-					if a2&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a2}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a2}
-					}
-					goto stepFault
+					br.x.memFault(s.off+1, a2, false)
+					goto abort
 				}
 				mem[a2>>2] = r[s.tag]
 			case kLdSrli:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a1}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, true)
+					goto abort
 				}
 				r[s.rd] = mem[a1>>2]
 				r[s.rd2] = r[s.rs3] >> (uint32(s.imm2) & 31)
@@ -660,26 +669,16 @@ loop:
 			case kLdAddi:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned load at %#x", []any{a1}
-					} else {
-						failf, failargs = "load out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, true)
+					goto abort
 				}
 				r[s.rd] = mem[a1>>2]
 				r[s.rd2] = uint32(int32(r[s.rs3]) + s.imm2)
 			case kStLi:
 				a1 := uint32(int32(r[s.rs1]) + s.imm)
 				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					fpc = int(s.off)
-					if a1&3 != 0 {
-						failf, failargs = "misaligned store at %#x", []any{a1}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{a1}
-					}
-					goto stepFault
+					br.x.memFault(s.off, a1, false)
+					goto abort
 				}
 				mem[a1>>2] = r[s.rs2]
 				r[s.rd2] = uint32(s.imm2)
@@ -703,7 +702,7 @@ loop:
 				a := uint32(int32(r[s.rs1]) + s.imm)
 				w := int(a >> 2)
 				if a&3 != 0 || w+2 >= len(mem) {
-					goto memRunSlow
+					goto runSlow
 				}
 				v := uint32(s.imm2)
 				r[uint8(v)] = mem[w]
@@ -713,7 +712,7 @@ loop:
 				a := uint32(int32(r[s.rs1]) + s.imm)
 				w := int(a >> 2)
 				if a&3 != 0 || w+3 >= len(mem) {
-					goto memRunSlow
+					goto runSlow
 				}
 				v := uint32(s.imm2)
 				r[uint8(v)] = mem[w]
@@ -724,7 +723,7 @@ loop:
 				a := uint32(int32(r[s.rs1]) + s.imm)
 				w := int(a >> 2)
 				if a&3 != 0 || w+2 >= len(mem) {
-					goto memRunSlow
+					goto runSlow
 				}
 				v := uint32(s.imm2)
 				mem[w] = r[uint8(v)]
@@ -734,7 +733,7 @@ loop:
 				a := uint32(int32(r[s.rs1]) + s.imm)
 				w := int(a >> 2)
 				if a&3 != 0 || w+3 >= len(mem) {
-					goto memRunSlow
+					goto runSlow
 				}
 				v := uint32(s.imm2)
 				mem[w] = r[uint8(v)]
@@ -743,64 +742,17 @@ loop:
 				mem[w+3] = r[uint8(v>>24)]
 
 			default:
-				fpc = int(s.off)
-				failf, failargs = "bad opcode %v", []any{Op(s.kind)}
-				goto stepFault
+				br.x.opFault(s, "bad opcode %v")
+				goto abort
 			}
-		}
-
-		goto terminator
-
-	memRunSlow:
-		// A save/restore run missed its fast-path check: re-run its
-		// elements exactly as the unfused stream executes them — a fresh
-		// address per element — so the right element faults with the right
-		// message after its predecessors took effect, or the whole run
-		// completes when the fast check was merely conservative (wrapped
-		// addresses). Runs never appear in delay slots (slots are compiled
-		// unfused), so a fault here is always a body fault.
-		{
-			s := &steps[si-1]
-			elems := 3
-			if s.kind == kLd4 || s.kind == kSt4 {
-				elems = 4
-			}
-			isLoad := s.kind == kLd3 || s.kind == kLd4
-			v := uint32(s.imm2)
-			for k := 0; k < elems; k++ {
-				addr := uint32(int32(r[s.rs1]) + s.imm + int32(4*k))
-				if addr&3 != 0 {
-					fpc = int(s.off) + k
-					if isLoad {
-						failf, failargs = "misaligned load at %#x", []any{addr}
-					} else {
-						failf, failargs = "misaligned store at %#x", []any{addr}
-					}
-					goto stepFault
-				}
-				if int(addr>>2) >= len(mem) {
-					fpc = int(s.off) + k
-					if isLoad {
-						failf, failargs = "load out of range at %#x", []any{addr}
-					} else {
-						failf, failargs = "store out of range at %#x", []any{addr}
-					}
-					goto stepFault
-				}
-				if isLoad {
-					r[uint8(v>>(8*k))] = mem[addr>>2]
-				} else {
-					mem[addr>>2] = r[uint8(v>>(8*k))]
-				}
-			}
-			goto dispatch
 		}
 
 	terminator:
-		t := &b.term
-		if inSlots {
-			// The transfer's delay slots just ran through the dispatch loop;
-			// charge the resolved outcome and complete the transfer.
+		t = &b.term
+		if phase == phSlots {
+			// The transfer's delay slots just ran through the dispatch
+			// loop; charge the resolved outcome and complete the
+			// transfer.
 			cycles += o.cyc
 			switch t.kind {
 			case termCond:
@@ -817,15 +769,15 @@ loop:
 				if b == nil {
 					b, trans = p.blockAt(pc)
 					if b == nil {
-						failf = "pc out of range"
+						br.failf = "pc out of range"
 						break loop
 					}
 					if trans {
-						m.Trans.Translated++
+						br.translated++
 					}
 					ch.Store(b)
 				} else {
-					m.Trans.ChainHits++
+					br.chainHits++
 				}
 			case termJump:
 				bc.taken++
@@ -834,19 +786,20 @@ loop:
 				if b == nil {
 					b, trans = p.blockAt(pc)
 					if b == nil {
-						failf = "pc out of range"
+						br.failf = "pc out of range"
 						break loop
 					}
 					if trans {
-						m.Trans.Translated++
+						br.translated++
 					}
 					t.tnext.Store(b)
 				} else {
-					m.Trans.ChainHits++
+					br.chainHits++
 				}
 			default: // termJumpInd
-				// Slot-2 load interlock against the computed target, the one
-				// stall the translator cannot resolve statically.
+				// Slot-2 load interlock against the computed target,
+				// the one stall the translator cannot resolve
+				// statically.
 				if o.s2wmask != 0 && uint(itgt) < uint(len(dec)) &&
 					dec[itgt].readMask&o.s2wmask != 0 {
 					cycles++
@@ -858,20 +811,21 @@ loop:
 				}
 				bc.taken++
 				pc = itgt
-				// The cache is promote-once: a polymorphic site (a return)
-				// keeps its first target and misses to the PC-keyed table,
-				// rather than churning allocations on every retarget.
+				// The cache is promote-once: a polymorphic site (a
+				// return) keeps its first target and misses to the
+				// PC-keyed table, rather than churning allocations on
+				// every retarget.
 				if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
 					b = ce.b
-					m.Trans.ChainHits++
+					br.chainHits++
 				} else {
 					b, trans = p.blockAt(itgt)
 					if b == nil {
-						failf = "pc out of range"
+						br.failf = "pc out of range"
 						break loop
 					}
 					if trans {
-						m.Trans.Translated++
+						br.translated++
 					}
 					if ce == nil {
 						t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
@@ -880,6 +834,7 @@ loop:
 			}
 			continue loop
 		}
+
 		switch t.kind {
 		case termFall:
 			pc = int(t.fall.nextPC)
@@ -887,21 +842,21 @@ loop:
 			if b == nil {
 				b, trans = p.blockAt(pc)
 				if b == nil {
-					failf = "pc out of range"
+					br.failf = "pc out of range"
 					break loop
 				}
 				if trans {
-					m.Trans.Translated++
+					br.translated++
 				}
 				t.fnext.Store(b)
 			} else {
-				m.Trans.ChainHits++
+				br.chainHits++
 			}
 
 		case termHalt:
 			counts[t.pc]++
 			cycles++
-			halted = true
+			m.halted = true
 			pc = int(t.pc)
 			break loop
 
@@ -910,13 +865,13 @@ loop:
 			cycles++
 			switch t.imm {
 			case SysHalt:
-				halted = true
+				m.halted = true
 				pc = int(t.pc)
 				break loop
 			case SysError:
 				st.ErrorCode = int32(r[RRet])
 				st.ErrorItem = r[3]
-				halted = true
+				m.halted = true
 				pc = int(t.pc)
 				break loop
 			case SysPutChar:
@@ -932,7 +887,7 @@ loop:
 				rd := mem[TrapRdAddr>>2]
 				if rd >= 32 {
 					pc = int(t.pc)
-					failf, failargs = "bad trap destination register %d", []any{rd}
+					br.failf, br.failargs = "bad trap destination register %d", []any{rd}
 					break loop
 				}
 				if rd != RZero {
@@ -941,10 +896,10 @@ loop:
 				cycles += trapCycles
 				pc = int(mem[TrapPCAddr>>2])
 				if cycles > limit {
-					if limit, over, cancelErr = m.pollLimit(cycles); over {
-						failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					if limit, over, br.cancelErr = m.pollLimit(cycles); over {
+						br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
 						break loop
-					} else if cancelErr != nil {
+					} else if br.cancelErr != nil {
 						break loop
 					}
 				}
@@ -952,7 +907,7 @@ loop:
 				continue loop
 			default:
 				pc = int(t.pc)
-				failf, failargs = "bad syscall %d", []any{t.imm}
+				br.failf, br.failargs = "bad syscall %d", []any{t.imm}
 				break loop
 			}
 			pc = int(t.pc) + 1
@@ -960,127 +915,45 @@ loop:
 			if b == nil {
 				b, trans = p.blockAt(pc)
 				if b == nil {
-					failf = "pc out of range"
+					br.failf = "pc out of range"
 					break loop
 				}
 				if trans {
-					m.Trans.Translated++
+					br.translated++
 				}
 				t.fnext.Store(b)
 			} else {
-				m.Trans.ChainHits++
+				br.chainHits++
 			}
 
 		case termCond:
-			var taken bool
 			switch t.op {
 			case BEQ:
-				taken = r[t.rs1] == r[t.rs2]
+				condTaken = r[t.rs1] == r[t.rs2]
 			case BNE:
-				taken = r[t.rs1] != r[t.rs2]
+				condTaken = r[t.rs1] != r[t.rs2]
 			case BLT:
-				taken = int32(r[t.rs1]) < int32(r[t.rs2])
+				condTaken = int32(r[t.rs1]) < int32(r[t.rs2])
 			case BGE:
-				taken = int32(r[t.rs1]) >= int32(r[t.rs2])
+				condTaken = int32(r[t.rs1]) >= int32(r[t.rs2])
 			case BLE:
-				taken = int32(r[t.rs1]) <= int32(r[t.rs2])
+				condTaken = int32(r[t.rs1]) <= int32(r[t.rs2])
 			case BGT:
-				taken = int32(r[t.rs1]) > int32(r[t.rs2])
+				condTaken = int32(r[t.rs1]) > int32(r[t.rs2])
 			case BEQI:
-				taken = int32(r[t.rs1]) == t.imm
+				condTaken = int32(r[t.rs1]) == t.imm
 			case BNEI:
-				taken = int32(r[t.rs1]) != t.imm
+				condTaken = int32(r[t.rs1]) != t.imm
 			case BLTI:
-				taken = int32(r[t.rs1]) < t.imm
+				condTaken = int32(r[t.rs1]) < t.imm
 			case BGEI:
-				taken = int32(r[t.rs1]) >= t.imm
+				condTaken = int32(r[t.rs1]) >= t.imm
 			case BTEQ:
-				taken = uint8((r[t.rs1]>>tagShift)&tagMask) == t.tag
+				condTaken = uint8((r[t.rs1]>>tagShift)&tagMask) == t.tag
 			case BTNE:
-				taken = uint8((r[t.rs1]>>tagShift)&tagMask) != t.tag
+				condTaken = uint8((r[t.rs1]>>tagShift)&tagMask) != t.tag
 			}
-			o = &t.fall
-			if taken {
-				o = &t.taken
-			}
-			if cycles+o.checkCyc > limit {
-				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
-					// Canceled at a poll point: stop at the branch, before
-					// it dispatches, leaving no pipeline state pending.
-					pc = int(t.pc)
-					break loop
-				}
-				if over {
-					// Reconstruct the exact machine state at the limit check:
-					// branch dispatched (and NOP slots consumed), delay slots
-					// still pending otherwise.
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						if taken {
-							counts[t.pc+1]++
-							counts[t.pc+2]++
-							pc = int(o.nextPC)
-						} else {
-							if o.annul {
-								squashed += 2
-							} else {
-								counts[t.pc+1]++
-								counts[t.pc+2]++
-							}
-							pc = int(t.pc) + 3
-						}
-					} else {
-						pc = int(t.pc) + 1
-						if taken {
-							pendTarget, pendCount = int(t.target), delaySlots
-						} else if o.annul {
-							pendTarget, pendCount, pendSquash = -1, delaySlots, true
-						}
-					}
-					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-					break loop
-				}
-			}
-			if o.annul || t.slotsNop {
-				// No slot work (annulled or NOP slots): complete the
-				// transfer inline instead of round-tripping through the
-				// dispatch loop's slot phase.
-				cycles += o.cyc
-				var ch *atomic.Pointer[tblock]
-				if taken {
-					bc.taken++
-					ch = &t.tnext
-				} else {
-					bc.fall++
-					ch = &t.fnext
-				}
-				pc = int(o.nextPC)
-				b = ch.Load()
-				if b == nil {
-					b, trans = p.blockAt(pc)
-					if b == nil {
-						failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						m.Trans.Translated++
-					}
-					ch.Store(b)
-				} else {
-					m.Trans.ChainHits++
-				}
-				continue loop
-			}
-			condTaken = taken
-			pendT = -1
-			if taken {
-				pendT = int(t.target)
-			}
-			inSlots = true
-			si = 0
-			steps = t.slots[:]
-			goto dispatch
+			goto condBranch
 
 		case termJump:
 			if t.link {
@@ -1088,7 +961,7 @@ loop:
 			}
 			o = &t.taken
 			if cycles+o.checkCyc > limit {
-				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+				if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
 					// Canceled at a poll point: stop at the branch, before
 					// it dispatches, leaving no pipeline state pending.
 					pc = int(t.pc)
@@ -1103,9 +976,9 @@ loop:
 						pc = int(o.nextPC)
 					} else {
 						pc = int(t.pc) + 1
-						pendTarget, pendCount = int(t.target), delaySlots
+						m.pendTarget, m.pendCount = int(t.target), delaySlots
 					}
-					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
 					break loop
 				}
 			}
@@ -1117,20 +990,20 @@ loop:
 				if b == nil {
 					b, trans = p.blockAt(pc)
 					if b == nil {
-						failf = "pc out of range"
+						br.failf = "pc out of range"
 						break loop
 					}
 					if trans {
-						m.Trans.Translated++
+						br.translated++
 					}
 					t.tnext.Store(b)
 				} else {
-					m.Trans.ChainHits++
+					br.chainHits++
 				}
 				continue loop
 			}
 			pendT = int(t.target)
-			inSlots = true
+			phase = phSlots
 			si = 0
 			steps = t.slots[:]
 			goto dispatch
@@ -1142,9 +1015,9 @@ loop:
 				cycles++
 				pc = int(t.pc)
 				if t.op == JALR {
-					failf, failargs = "jalr to misaligned code address %#x", []any{v}
+					br.failf, br.failargs = "jalr to misaligned code address %#x", []any{v}
 				} else {
-					failf, failargs = "jr to misaligned code address %#x", []any{v}
+					br.failf, br.failargs = "jr to misaligned code address %#x", []any{v}
 				}
 				break loop
 			}
@@ -1154,7 +1027,7 @@ loop:
 			}
 			o = &t.taken
 			if cycles+o.checkCyc > limit {
-				if limit, over, cancelErr = m.pollLimit(cycles + o.checkCyc); cancelErr != nil {
+				if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
 					// Canceled at a poll point: stop at the branch, before
 					// it dispatches, leaving no pipeline state pending.
 					pc = int(t.pc)
@@ -1169,9 +1042,9 @@ loop:
 						pc = itgt
 					} else {
 						pc = int(t.pc) + 1
-						pendTarget, pendCount = itgt, delaySlots
+						m.pendTarget, m.pendCount = itgt, delaySlots
 					}
-					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
 					break loop
 				}
 			}
@@ -1184,15 +1057,15 @@ loop:
 				pc = itgt
 				if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
 					b = ce.b
-					m.Trans.ChainHits++
+					br.chainHits++
 				} else {
 					b, trans = p.blockAt(itgt)
 					if b == nil {
-						failf = "pc out of range"
+						br.failf = "pc out of range"
 						break loop
 					}
 					if trans {
-						m.Trans.Translated++
+						br.translated++
 					}
 					if ce == nil {
 						t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
@@ -1201,7 +1074,7 @@ loop:
 				continue loop
 			}
 			pendT = itgt
-			inSlots = true
+			phase = phSlots
 			si = 0
 			steps = t.slots[:]
 			goto dispatch
@@ -1213,19 +1086,18 @@ loop:
 			// state back.
 			copy(m.Regs[:], regs[:32])
 			m.PC = int(t.pc)
-			m.halted = halted
-			m.pendTarget, m.pendCount, m.pendSquash = pendTarget, pendCount, pendSquash
-			st.Cycles, st.Instrs = cycles, instrs
+			st.Cycles = cycles
 			err := m.Step()
 			if err == nil && st.Cycles > limit {
 				// The limit is checked right after dispatching the
-				// transfer, as at every inline terminator. A cancellation seen here stops the run
-				// only once the delay slots have drained (below).
-				if limit, over, cancelErr = m.pollLimit(st.Cycles); over {
-					failf, failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+				// transfer, as at every inline terminator. A cancellation
+				// seen here stops the run only once the delay slots have
+				// drained (below).
+				if limit, over, br.cancelErr = m.pollLimit(st.Cycles); over {
+					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
 				}
 			}
-			if err == nil && failf == "" {
+			if err == nil && br.failf == "" {
 				for (m.pendCount > 0 || m.pendSquash) && !m.halted {
 					if err = m.Step(); err != nil {
 						break
@@ -1233,21 +1105,19 @@ loop:
 				}
 			}
 			copy(regs[:32], m.Regs[:])
-			cycles, instrs = st.Cycles, st.Instrs
+			cycles = st.Cycles
 			pc = m.PC
-			halted = m.halted
-			pendTarget, pendCount, pendSquash = m.pendTarget, m.pendCount, m.pendSquash
 			if err != nil {
-				failErr = err
+				br.failErr = err
 				break loop
 			}
-			if failf != "" || halted {
+			if br.failf != "" || m.halted {
 				break loop
 			}
 			// Consume a trailing load interlock left by a slot, exactly as
 			// the reference engine's next Step would.
 			if m.lastLoadReg != RZero {
-				if !pendSquash && uint(pc) < uint(len(dec)) &&
+				if !m.pendSquash && uint(pc) < uint(len(dec)) &&
 					dec[pc].readMask&(1<<m.lastLoadReg) != 0 {
 					ld := &dec[m.lastLoad]
 					cycles++
@@ -1259,30 +1129,290 @@ loop:
 				}
 				m.lastLoadReg = RZero
 			}
-			if cancelErr != nil {
+			if br.cancelErr != nil {
 				break loop
 			}
 			b = nil
 		}
-	}
-	goto flush
+		continue loop
 
-stepFault:
-	if inSlots {
-		// A delay slot faulted: reproduce the reference engine's exact state —
-		// the branch and every executed slot counted and charged, the
-		// pending-branch pipeline restored. The outcome's static accounting
-		// has not been applied on this path.
+	condBranch:
+		// A conditional terminator whose direction is resolved in
+		// condTaken: by the terminator itself, or by the superblock edge
+		// that side-exited here (the delay slots have not run yet and may
+		// clobber the branch operands, so it is never re-evaluated).
+		o = &t.fall
+		if condTaken {
+			o = &t.taken
+		}
+		if cycles+o.checkCyc > limit {
+			if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
+				// Canceled at a poll point: stop at the branch, before it
+				// dispatches, leaving no pipeline state pending.
+				pc = int(t.pc)
+				break loop
+			}
+			if over {
+				// Reconstruct the exact machine state at the limit check:
+				// branch dispatched (and NOP slots consumed), delay slots
+				// still pending otherwise.
+				counts[t.pc]++
+				cycles += o.checkCyc
+				if t.slotsNop {
+					if condTaken {
+						counts[t.pc+1]++
+						counts[t.pc+2]++
+						pc = int(o.nextPC)
+					} else {
+						if o.annul {
+							squashed += 2
+						} else {
+							counts[t.pc+1]++
+							counts[t.pc+2]++
+						}
+						pc = int(t.pc) + 3
+					}
+				} else {
+					pc = int(t.pc) + 1
+					if condTaken {
+						m.pendTarget, m.pendCount = int(t.target), delaySlots
+					} else if o.annul {
+						m.pendTarget, m.pendCount, m.pendSquash = -1, delaySlots, true
+					}
+				}
+				br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+				break loop
+			}
+		}
+		if o.annul || t.slotsNop {
+			// No slot work (annulled or NOP slots): complete the transfer
+			// inline instead of round-tripping through the dispatch loop's
+			// slot phase.
+			cycles += o.cyc
+			var ch *atomic.Pointer[tblock]
+			if condTaken {
+				bc.taken++
+				ch = &t.tnext
+			} else {
+				bc.fall++
+				ch = &t.fnext
+			}
+			pc = int(o.nextPC)
+			b = ch.Load()
+			if b == nil {
+				b, trans = p.blockAt(pc)
+				if b == nil {
+					br.failf = "pc out of range"
+					break loop
+				}
+				if trans {
+					br.translated++
+				}
+				ch.Store(b)
+			} else {
+				br.chainHits++
+			}
+			continue loop
+		}
+		pendT = -1
+		if condTaken {
+			pendT = int(t.target)
+		}
+		phase = phSlots
+		si = 0
+		steps = t.slots[:]
+		goto dispatch
+
+	sideExit:
+		// A superblock edge resolved against the formed direction at
+		// element br.x.sbj: record the exit site (the completed prefix
+		// expands from it at flush), charge the exiting element's body —
+		// it ran in full, elided checks skipped — and resolve its
+		// terminator on the ordinary path. A conditional edge
+		// already resolved the branch (br.x.taken; the delay slots have
+		// not run and may clobber its operands, so it is not evaluated
+		// again); an indirect-jump edge resolved nothing the terminator
+		// cannot recompute from the registers.
+		m.sideExit(br.sb, br.x.sbj)
+		b = br.sb.elems[br.x.sbj].b
+		if int(b.id) >= len(bctr) {
+			m.growBctr(b.id)
+			bctr = m.bctr
+		}
+		bc = &bctr[b.id]
+		bc.body++
+		cycles += br.sb.elems[br.x.sbj].cycBefore + b.bodyCyc
+		m.Native.ElidedChecks += uint64(br.sb.elems[br.x.sbj].elided)
+		phase = phBody
+		t = &b.term
+		if t.kind == termCond {
+			condTaken = br.x.taken
+			goto condBranch
+		}
+		goto terminator
+
+	runSlow:
+		// A save/restore run missed its fast-path check: re-run its
+		// elements exactly as the unfused stream executes them — a fresh
+		// address per element — so the right element faults with the right
+		// message after its predecessors took effect, or the whole run
+		// completes when the fast check was merely conservative (wrapped
+		// addresses). Runs never appear in delay slots (slots are compiled
+		// unfused), so a fault here is always a body fault. (execSteps
+		// shares memRunSlow; here the loop is spelled out because a path
+		// that rejoins dispatch after a call costs the dispatch loop
+		// register shuffles on every step, see DESIGN.md §12.)
+		{
+			s := &steps[si-1]
+			elems := 3
+			if s.kind == kLd4 || s.kind == kSt4 {
+				elems = 4
+			}
+			isLoad := s.kind == kLd3 || s.kind == kLd4
+			v := uint32(s.imm2)
+			for k := 0; k < elems; k++ {
+				addr := uint32(int32(r[s.rs1]) + s.imm + int32(4*k))
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					br.x.memFault(s.off+int32(k), addr, isLoad)
+					goto abort
+				}
+				if isLoad {
+					r[uint8(v>>(8*k))] = mem[addr>>2]
+				} else {
+					mem[addr>>2] = r[uint8(v>>(8*k))]
+				}
+			}
+			goto dispatch
+		}
+
+	abort:
+		// A body, slot or stream step faulted, failed a tag or granule
+		// check, or trapped (br.x says which, at source pc br.x.fpc). Find
+		// the block holding it, back out that block's static body
+		// accounting and re-charge the executed prefix instruction by
+		// instruction, exactly as the reference engine charges it, then
+		// fault or enter the software handler.
+		switch {
+		case phase == phSlots:
+			goto slotFault
+		case native && phase == phStream:
+			// Map the aborted stream step to its element: the completed
+			// elements before it are recorded by exit site, and the run
+			// resumes as that element's per-block execution.
+			m.Native.SBSideExits++
+			{
+				sb, idx := br.sb, br.sbIdx
+				j := int32(0)
+				for int(j)+1 < len(sb.elems) && sb.elems[j+1].stepLo <= idx {
+					j++
+				}
+				e := &sb.elems[j]
+				if idx < e.slotLo {
+					// The dataflow pass fuses body steps across termFall
+					// element boundaries, so a fused step indexed in
+					// element j can fault in its second half's pc, which
+					// belongs to a later element. The faulting pc decides:
+					// every element the pc skips past was fully executed
+					// (spanning only crosses fall-through boundaries, whose
+					// terminators cost no cycles and cover no
+					// instructions). Slots never fuse across elements, so
+					// the slot path below is exempt.
+					for int(j)+1 < len(sb.elems) && !e.b.coversPC(int32(br.x.fpc)) {
+						j++
+						e = &sb.elems[j]
+					}
+				}
+				m.markSBExit(sb, j)
+				b = e.b
+				bc = m.growBctr(b.id)
+				bctr = m.bctr
+				cycles += e.cycBefore
+				if idx >= e.slotLo && idx < e.stepHi {
+					// A delay slot faulted after the hot branch: body and
+					// direction accounting happen on the slot-fault path.
+					bc.body++
+					cycles += b.bodyCyc
+					t = &b.term
+					pendT = -1
+					switch {
+					case t.kind == termJumpInd:
+						pendT = int(e.jrTgt)
+					case t.kind == termJump || (t.kind == termCond && e.hotTaken):
+						pendT = int(t.target)
+					}
+					goto slotFault
+				}
+			}
+		default:
+			bc.body--
+			cycles -= b.bodyCyc
+		}
+		cycles = m.accountPrefix(int(b.start), br.x.fpc, cycles)
+		switch br.x.why {
+		case abFault:
+			pc = br.x.fpc
+			br.failf, br.failargs = br.x.failf, br.x.failargs
+			break loop
+		case abCheck:
+			if m.HW.CheckFailHandler < 0 {
+				pc = br.x.fpc
+				br.failf, br.failargs = "checked access tag mismatch: item %#x, want tag %d", []any{br.x.trapA, uint8(br.x.trapB)}
+				break loop
+			}
+			r[RT0] = br.x.trapA
+			r[RT1] = br.x.trapB
+			pc = m.HW.CheckFailHandler
+		case abMemtag:
+			if m.HW.MemtagFailHandler < 0 {
+				pc = br.x.fpc
+				br.failf, br.failargs = "memtag granule check failed: item %#x, addr %#x", []any{br.x.trapA, br.x.trapB}
+				break loop
+			}
+			r[RT0] = br.x.trapA
+			r[RT1] = br.x.trapB
+			pc = m.HW.MemtagFailHandler
+		default: // abTrap
+			if m.HW.TrapHandler < 0 {
+				pc = br.x.fpc
+				br.failf, br.failargs = "unhandled arithmetic trap (%v %#x %#x)", []any{Op(br.x.trapOp), br.x.trapA, br.x.trapB}
+				break loop
+			}
+			mem[TrapOpAddr>>2] = uint32(br.x.trapOp)
+			mem[TrapAAddr>>2] = br.x.trapA
+			mem[TrapBAddr>>2] = br.x.trapB
+			mem[TrapRdAddr>>2] = uint32(br.x.trapRd)
+			mem[TrapPCAddr>>2] = uint32(br.x.fpc + 1)
+			pc = m.HW.TrapHandler
+		}
+		phase = phBody
+		cycles += trapCycles
+		st.Traps++
+		if cycles > limit {
+			if limit, over, br.cancelErr = m.pollLimit(cycles); over {
+				br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+				break loop
+			} else if br.cancelErr != nil {
+				break loop
+			}
+		}
+		b = nil
+		continue loop
+
+	slotFault:
+		// A delay slot faulted: reproduce the reference engine's exact
+		// state — the branch and every executed slot counted and charged,
+		// the pending-branch pipeline restored. The outcome's static
+		// accounting has not been applied on this path.
 		{
 			t := &b.term
 			s1, s2 := t.slot1, t.slot2
 			counts[t.pc]++
 			counts[t.pc+1]++
 			cycles += 1 + uint64(s1.cycles)
-			if si-1 == 0 {
+			if br.x.fpc == int(t.pc)+1 {
 				pc = int(t.pc) + 1
 				if pendT >= 0 {
-					pendTarget, pendCount = pendT, delaySlots
+					m.pendTarget, m.pendCount = pendT, delaySlots
 				}
 			} else {
 				counts[t.pc+2]++
@@ -1300,44 +1430,62 @@ stepFault:
 				cycles += uint64(s2.cycles)
 				pc = int(t.pc) + 2
 				if pendT >= 0 {
-					pendTarget, pendCount = pendT, delaySlots-1
+					m.pendTarget, m.pendCount = pendT, delaySlots-1
 				}
 			}
+			br.failf, br.failargs = br.x.failf, br.x.failargs
+			break loop
 		}
-		goto flush
 	}
-	// A body instruction faulted: back out the block's static accounting
-	// and re-charge the executed prefix (including the faulting
-	// instruction) one instruction at a time, reproducing the reference engine's
-	// cycle count and execution counts at the fault.
-	bc.body--
-	cycles = m.accountPrefix(int(b.start), fpc, cycles-b.bodyCyc)
-	pc = fpc
 
 flush:
 	copy(m.Regs[:], regs[:32])
-	m.halted = halted
 	m.PC = pc
-	m.pendTarget, m.pendCount, m.pendSquash = pendTarget, pendCount, pendSquash
 
-	m.expandBlockCtrs(counts, &squashed,
-		&m.Trans.BlockRuns, &m.Trans.Steps, &m.Trans.FusedSteps)
-	instrs = m.expandCounts(counts, instrs, squashed)
-	st.Cycles, st.Instrs = cycles, instrs
+	if native {
+		if br.np != nil {
+			m.expandSBCtrs()
+		}
+		m.expandBlockCtrs(counts, &squashed,
+			&m.Native.BlockRuns, &m.Native.Steps, &m.Native.FusedSteps)
+		m.Native.ChainHits += br.chainHits
+		m.Native.SlowRuns += br.slowRuns
+	} else {
+		m.expandBlockCtrs(counts, &squashed,
+			&m.Trans.BlockRuns, &m.Trans.Steps, &m.Trans.FusedSteps)
+		m.Trans.ChainHits += br.chainHits
+		m.Trans.Translated += br.translated
+	}
+	st.Instrs = m.expandCounts(counts, st.Instrs, squashed)
+	st.Cycles = cycles
 
-	if failErr != nil {
-		return failErr
+	if br.failErr != nil {
+		return br.failErr
 	}
-	if failf != "" {
-		return m.fault(failf, failargs...)
+	if br.failf != "" {
+		return m.fault(br.failf, br.failargs...)
 	}
-	if cancelErr != nil && !halted {
-		return &Canceled{Cycle: st.Cycles, Err: cancelErr}
+	if br.cancelErr != nil && !m.halted {
+		return &Canceled{Cycle: st.Cycles, Err: br.cancelErr}
 	}
 	if st.ErrorCode != 0 {
 		return &RuntimeError{Code: st.ErrorCode, Item: st.ErrorItem}
 	}
 	return nil
+}
+
+// memFault returns the reference engine's fault message for a misaligned
+// or out-of-range word access at addr.
+func memFault(addr uint32, isLoad bool) (string, []any) {
+	switch {
+	case isLoad && addr&3 != 0:
+		return "misaligned load at %#x", []any{addr}
+	case isLoad:
+		return "load out of range at %#x", []any{addr}
+	case addr&3 != 0:
+		return "misaligned store at %#x", []any{addr}
+	}
+	return "store out of range at %#x", []any{addr}
 }
 
 // coversPC reports whether pc lies in the block's body. Used by the

@@ -131,7 +131,7 @@ func TestRegistry(t *testing.T) {
 	g.Observe("h", 7000)
 	st := &mipsx.Stats{Cycles: 1000, Instrs: 900, Stalls: 50, Traps: 2, GCs: 1, GCWords: 64}
 	g.RecordRun("boyer", "high5+check", st)
-	g.RecordNative(&mipsx.NativeStats{Compiled: 4, SBRuns: 9, Fallbacks: 1})
+	g.RecordNative(&mipsx.NativeStats{SuperBlocks: 4, SBRuns: 9, Fallbacks: 1})
 
 	s := g.Snapshot()
 	if s.Counters["x"] != 5 {
@@ -144,7 +144,7 @@ func TestRegistry(t *testing.T) {
 	if s.Counters["cycles_total/boyer/high5+check"] != 1000 {
 		t.Errorf("per-run counter missing: %v", s.Counters)
 	}
-	if s.Counters["native_blocks_compiled_total"] != 4 ||
+	if s.Counters["native_superblocks_total"] != 4 ||
 		s.Counters["native_superblock_runs_total"] != 9 ||
 		s.Counters["native_fallbacks_total"] != 1 {
 		t.Errorf("native counters = %v", s.Counters)

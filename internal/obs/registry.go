@@ -99,10 +99,9 @@ func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 // registry. As with RecordTrans, every field is zero when the run used
 // another engine; a Fallbacks increment marks a native run that delegated
 // to the reference engine (observer attached or machine stopped mid-pipeline)
-// or to the translated engine (program compiled for a different hardware
-// config).
+// or ran without superblocks (program's superblocks pinned to a different
+// hardware config).
 func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
-	g.Add("native_blocks_compiled_total", ns.Compiled)
 	g.Add("native_block_runs_total", ns.BlockRuns)
 	g.Add("native_chain_hits_total", ns.ChainHits)
 	g.Add("native_fallbacks_total", ns.Fallbacks)

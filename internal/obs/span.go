@@ -7,14 +7,17 @@ import (
 )
 
 // Run phase names recorded on a Timeline. The build phases (parse,
-// compile) appear only when the run misses the image cache; the JIT
-// phases (translate, native-compile) are carved out of execute — block
-// translation and closure compilation happen lazily while the engine
+// compile) appear only when the run misses the image cache; new-machine
+// is the construction of the run's machine from the image (memory
+// template copy included), between build and execute; the JIT phases
+// (translate, native-compile) are carved out of execute — block
+// translation and superblock formation happen lazily while the engine
 // runs — so their spans share execute's start offset and their durations
 // overlap it rather than adding to it.
 const (
 	PhaseParse         = "parse"
 	PhaseCompile       = "compile"
+	PhaseNewMachine    = "new-machine"
 	PhaseTranslate     = "translate"
 	PhaseNativeCompile = "native-compile"
 	PhaseExecute       = "execute"

@@ -373,8 +373,8 @@ func TestIntrospectEndpoint(t *testing.T) {
 	}
 
 	na := byConfig["low3"]
-	if na.Engine.NativeBlocks == 0 {
-		t.Errorf("no native blocks in %+v", na.Engine)
+	if na.Engine.SuperBlocks == 0 {
+		t.Errorf("no superblocks in %+v", na.Engine)
 	}
 	if na.Native.BlockRuns == 0 {
 		t.Errorf("no accumulated native block runs: %+v", na.Native)

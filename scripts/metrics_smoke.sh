@@ -43,14 +43,16 @@ curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+check","e
 # and native engines must honour it themselves rather than hand the run
 # to the reference engine. A default-engine and a native run of pairs the
 # prewarm did not cache must execute on those engines and leave both
-# fallback counters at zero.
+# fallback counters at zero. The native runs must also have entered
+# superblock streams: bit-identical results alone cannot show that.
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"trav","config":"low3+check"}' >/dev/null
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"low3+check","engine":"native"}' >/dev/null
 curl -fsS "$BASE/metrics" | python3 -c '
 import json, sys
 c = json.load(sys.stdin)["counters"]
 bad = [k + "=" + str(c.get(k, 0)) for k in ("engine_fallbacks_total", "native_fallbacks_total") if c.get(k, 0) != 0]
-bad += [k + "=0" for k in ("runs_engine_total/translated", "runs_engine_total/native") if c.get(k, 0) == 0]
+bad += [k + "=0" for k in ("runs_engine_total/translated", "runs_engine_total/native",
+                            "native_superblock_runs_total") if c.get(k, 0) == 0]
 if bad:
     sys.exit("engine selection lost on the service path: " + ", ".join(bad))
 '
@@ -93,8 +95,8 @@ for f in "$OUT/metrics.prom" "$OUT/metrics2.prom"; do
     for fam in $(grep '^memtag_\|^run_memtag_' internal/server/testdata/metric_names.golden); do
         grep -q "^# TYPE $fam " "$f" || { echo "missing family $fam in $f"; exit 1; }
     done
-    # And for the native-engine families (superblocks, fusion, elision,
-    # register-cache spills) exercised by the native run above.
+    # And for the native-engine families (superblocks, fusion, elision)
+    # exercised by the native runs above.
     for fam in $(grep '^native_' internal/server/testdata/metric_names.golden); do
         grep -q "^# TYPE $fam " "$f" || { echo "missing family $fam in $f"; exit 1; }
     done
