@@ -51,12 +51,13 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -smoke -out bench-smoke.txt
 
 # Race-detector pass over the concurrent machinery: the runner cache and
-# single-flight, context cancellation in the engines, and the whole server
-# package. The full core suite (table sweeps) is too slow under -race, so
-# core/mipsx are filtered to the concurrency tests; server runs entirely.
+# single-flight, the shared compiled runtimes, context cancellation in the
+# engines, and the whole server package. The full core suite (table
+# sweeps) is too slow under -race, so core/mipsx are filtered to the
+# concurrency tests; server runs entirely.
 .PHONY: race
 race:
-	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache' ./internal/core ./internal/mipsx
+	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime' ./internal/core ./internal/mipsx
 	$(GO) test -race ./internal/server
 
 # Short-budget coverage-guided fuzzing over every fuzz target: the

@@ -84,6 +84,20 @@ type Result struct {
 	// JIT phases carved out of execute, and stats-flush. Cached replays
 	// return the original run's phases.
 	Phases []obs.Span
+
+	bodyOnce sync.Once
+	body     []byte
+}
+
+// Body returns the response body encode builds for res, calling encode on
+// the first call only; later calls return the same shared slice, which
+// must not be modified. The memo lives and is evicted with the Result, so
+// it is keyed exactly like the result cache: encode must depend on the
+// request only through the program, which its name identifies, and the
+// configuration's Key.
+func (res *Result) Body(encode func() []byte) []byte {
+	res.bodyOnce.Do(func() { res.body = encode() })
+	return res.body
 }
 
 // Runner executes and memoizes benchmark runs. Safe for concurrent use:
@@ -98,6 +112,8 @@ type Runner struct {
 	inflight map[string]*flight
 	imgs     map[string]*list.Element // key → element whose Value is *imgEntry
 	imgLRU   *list.List               // front = most recently used image
+	// runtimes holds the compiled sys + lib units per key (runtimeFor).
+	runtimes map[rt.RuntimeKey]*rt.Runtime
 	// Engine selects the simulator engine for uncached runs. The zero
 	// value is mipsx.EngineTranslated (the fastest engine); every engine
 	// produces bit-identical results, so switching engines never
@@ -164,6 +180,7 @@ func NewRunner() *Runner {
 		inflight:  make(map[string]*flight),
 		imgs:      make(map[string]*list.Element),
 		imgLRU:    list.New(),
+		runtimes:  make(map[rt.RuntimeKey]*rt.Runtime),
 		MaxCycles: 2_000_000_000,
 		Metrics:   obs.NewRegistry(),
 	}
@@ -306,7 +323,7 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 	}
 	r.mu.Unlock()
 	r.Metrics.Add("image_cache_misses_total", 1)
-	img, err := rt.Build(p.Source, rt.BuildOptions{
+	opts := rt.BuildOptions{
 		Scheme:    cfg.Scheme,
 		HW:        cfg.HW,
 		Checking:  cfg.Checking,
@@ -314,7 +331,12 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 		Phase: func(name string, d time.Duration) {
 			tl.Record(name, time.Now().Add(-d), d)
 		},
-	})
+	}
+	sys, err := r.runtimeFor(opts, tl)
+	if err != nil {
+		return nil, fmt.Errorf("%s: build: %w", key, err)
+	}
+	img, err := sys.Build(p.Source, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", key, err)
 	}
@@ -330,6 +352,48 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 	}
 	r.mu.Unlock()
 	return img, nil
+}
+
+// runtimeCap bounds the compiled runtimes a Runner keeps (~145 KB each):
+// room for every configuration of the table sweeps, while a scheme search
+// that tries more configurations than that recompiles some.
+const runtimeCap = 256
+
+// runtimeFor returns the compiled runtime (sys and lib units) an image
+// built with opts links against, compiling it on the first build of its
+// key. The compilation is recorded as a compile span on tl, ahead of the
+// program's own parse and compile. Concurrent first builds of one key
+// may each compile; the first to finish is kept.
+func (r *Runner) runtimeFor(opts rt.BuildOptions, tl *obs.Timeline) (*rt.Runtime, error) {
+	key, err := opts.RuntimeKey()
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	sys := r.runtimes[key]
+	r.mu.Unlock()
+	if sys != nil {
+		return sys, nil
+	}
+	end := tl.Start(obs.PhaseCompile)
+	sys, err = rt.CompileRuntime(opts)
+	end()
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.runtimes[key]; ok {
+		return prev, nil
+	}
+	if len(r.runtimes) >= runtimeCap {
+		for k := range r.runtimes { // evict an arbitrary runtime
+			delete(r.runtimes, k)
+			break
+		}
+	}
+	r.runtimes[key] = sys
+	return sys, nil
 }
 
 // runUncached builds and executes one run; key labels errors. Every run

@@ -2,6 +2,7 @@ package mipsx
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,17 @@ type Asm struct {
 // NewAsm returns an empty program builder.
 func NewAsm() *Asm {
 	return &Asm{}
+}
+
+// Clone returns an independent copy of the builder, emitted code, labels
+// and current annotation included: emitting into either leaves the other
+// unchanged. Label IDs of the original stay valid in the copy.
+func (a *Asm) Clone() *Asm {
+	b := *a
+	b.instrs = slices.Clone(a.instrs)
+	b.labelNames = slices.Clone(a.labelNames)
+	b.labelBound = slices.Clone(a.labelBound)
+	return &b
 }
 
 // Cat sets the category annotation for subsequently emitted instructions.

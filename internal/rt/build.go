@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"time"
 
@@ -24,6 +25,8 @@ type BuildOptions struct {
 	// Phase, when non-nil, receives the wall duration of each build phase
 	// ("parse", "compile") as it completes, so callers can thread the
 	// build into a run timeline without this package depending on one.
+	// "parse" is the program's parse; "compile" is the rest, including
+	// the runtime when Build compiles one.
 	Phase func(name string, d time.Duration)
 }
 
@@ -34,12 +37,18 @@ type Image struct {
 	HW       tags.HW
 	Checking bool
 
-	memTemplate []uint32
-	memWords    int
-	heapALo     uint32
-	heapWords   int
-	stackBase   uint32
-	pool        *constPool
+	// The initial memory is sparse: static holds words [0, len(static))
+	// (globals, then the static area) and, under memory tagging, the
+	// shadow words [shadowLo, shadowLo+shadowN) start colored 1. Every
+	// other word of the memWords-word memory starts zero.
+	static    []uint32
+	shadowLo  int
+	shadowN   int
+	memWords  int
+	heapALo   uint32
+	heapWords int
+	stackBase uint32
+	pool      *constPool
 
 	// Units holds Table 3 statistics per compiled unit ("sys", "lib",
 	// "program").
@@ -48,10 +57,28 @@ type Image struct {
 	Procedures map[string]*lispc.FnInfo
 }
 
-// Build compiles the runtime system, the library and programSrc into one
-// executable image. The program's top-level forms become its main function;
-// its value is in R2 when the machine halts.
-func Build(programSrc string, opts BuildOptions) (*Image, error) {
+// RuntimeKey identifies a compiled runtime: everything the sys and lib
+// code depends on. Builds whose options have equal keys link against
+// word-for-word identical runtime code.
+type RuntimeKey struct {
+	Scheme   tags.Kind
+	HW       tags.HW
+	Checking bool
+	// Memtag is the memory-tagging geometry folded into compiled code; it
+	// is how HeapWords and StackWords reach the runtime, and it is zero
+	// when tagging is off.
+	Memtag tags.MemtagGeom
+}
+
+// RuntimeKey applies opts' defaults and returns the key of the runtime a
+// build with opts links against.
+func (opts BuildOptions) RuntimeKey() (RuntimeKey, error) {
+	_, key, err := opts.resolve()
+	return key, err
+}
+
+// resolve applies the defaults and computes the runtime key.
+func (opts BuildOptions) resolve() (BuildOptions, RuntimeKey, error) {
 	if opts.HeapWords == 0 {
 		opts.HeapWords = 512 << 10
 	}
@@ -59,9 +86,7 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 		opts.StackWords = 64 << 10
 	}
 	opts.HW = opts.HW.Normalized()
-	scheme := tags.New(opts.Scheme)
-	pool := newConstPool(scheme)
-	a := mipsx.NewAsm()
+	key := RuntimeKey{Scheme: opts.Scheme, HW: opts.HW, Checking: opts.Checking}
 
 	// Memory tagging needs the whole memory map — including the shadow
 	// color table base — before compilation, because the geometry is folded
@@ -69,15 +94,14 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 	// fixed budget instead of being measured after the fact; everything
 	// above it is computable up front. The plain build keeps its exact
 	// historical layout (static area packed tight against the heap).
-	var geom tags.MemtagGeom
 	if opts.HW.Memtag {
 		heapA := uint32(memtagStaticBudget)
 		heapBytes := uint32(4 * opts.HeapWords)
 		stackBase := heapA + 2*heapBytes + uint32(4*opts.StackWords)
 		if stackBase >= 1<<26 {
-			return nil, fmt.Errorf("memory plan exceeds the 26-bit fixnum-safe address space")
+			return opts, key, fmt.Errorf("memory plan exceeds the 26-bit fixnum-safe address space")
 		}
-		geom = tags.MemtagGeom{
+		key.Memtag = tags.MemtagGeom{
 			Enabled:     true,
 			HWCheck:     opts.HW.MemtagHW,
 			GranuleLog2: uint32(opts.HW.MemtagGranule),
@@ -86,48 +110,50 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 			MaxColor:    opts.HW.MemtagMaxColor(),
 		}
 	}
-	c := lispc.New(a, lispc.Options{Scheme: scheme, HW: opts.HW, Checking: opts.Checking, Memtag: geom}, pool)
+	return opts, key, nil
+}
 
-	img := &Image{
-		Scheme:   scheme,
-		HW:       opts.HW,
-		Checking: opts.Checking,
-		pool:     pool,
-		Units:    make(map[string]lispc.UnitStats),
-	}
+// Runtime is the runtime system and the library compiled for one
+// RuntimeKey: the code every image of that key starts with, like PSL's
+// SYSLISP kernel, which was compiled once and linked under every program.
+// It is still compiled by lispc, so its cycles count like user code. A
+// Runtime is immutable; any number of goroutines may build on it at once.
+type Runtime struct {
+	key     RuntimeKey
+	copts   lispc.Options
+	asm     *mipsx.Asm
+	pool    *constPool
+	funcs   map[string]*lispc.FnInfo
+	globals map[string]bool
+	units   map[string]lispc.UnitStats
+}
 
-	phase := opts.Phase
-	if phase == nil {
-		phase = func(string, time.Duration) {}
+// CompileRuntime parses and compiles the sys and lib units for opts' key.
+// opts.Phase is not called.
+func CompileRuntime(opts BuildOptions) (*Runtime, error) {
+	opts, key, err := opts.resolve()
+	if err != nil {
+		return nil, err
 	}
-	phaseStart := time.Now()
+	scheme := tags.New(opts.Scheme)
+	pool := newConstPool(scheme)
+	a := mipsx.NewAsm()
+	copts := lispc.Options{Scheme: scheme, HW: opts.HW, Checking: opts.Checking, Memtag: key.Memtag}
+	c := lispc.New(a, copts, pool)
 
 	in := sexpr.NewInterner()
-	parse := func(name, src string) ([]sexpr.Value, int, error) {
-		forms, err := sexpr.NewReader(in, src).ReadAll()
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %w", name, err)
-		}
-		return forms, countSourceLines(src), nil
-	}
 	sysSrc := sysSource
 	if opts.HW.Memtag {
-		sysSrc = sysSourceMemtag(geom)
+		sysSrc = sysSourceMemtag(key.Memtag)
 	}
-	sysForms, sysLines, err := parse("sys", sysSrc+sysTrapSource)
+	sysForms, sysLines, err := parseUnit(in, "sys", sysSrc+sysTrapSource)
 	if err != nil {
 		return nil, err
 	}
-	libForms, libLines, err := parse("lib", libSource)
+	libForms, libLines, err := parseUnit(in, "lib", libSource)
 	if err != nil {
 		return nil, err
 	}
-	progForms, progLines, err := parse("program", programSrc)
-	if err != nil {
-		return nil, err
-	}
-	phase("parse", time.Since(phaseStart))
-	phaseStart = time.Now()
 
 	// Glue entry points and the program's main must exist before
 	// compilation so %gc, %ensure-heap and the start-up code can
@@ -137,7 +163,7 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 	mainInfo := &lispc.FnInfo{Name: "main", Label: a.NewLabel("fn:main")}
 	c.Funcs[mainInfo.Name] = mainInfo
 
-	for _, forms := range [][]sexpr.Value{sysForms, libForms, progForms} {
+	for _, forms := range [][]sexpr.Value{sysForms, libForms} {
 		if err := c.DeclareUnit(forms); err != nil {
 			return nil, err
 		}
@@ -152,28 +178,94 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 
 	// The system unit is always compiled without run-time checking, like
 	// PSL's SYSLISP kernel.
-	saved := c.Opts.Checking
+	units := make(map[string]lispc.UnitStats)
 	c.Opts.Checking = false
 	st, err := c.CompileUnit(sysForms, "", sysLines)
 	if err != nil {
 		return nil, err
 	}
-	img.Units["sys"] = st
-	c.Opts.Checking = saved
+	units["sys"] = st
+	c.Opts.Checking = opts.Checking
 
 	st, err = c.CompileUnit(libForms, "", libLines)
 	if err != nil {
 		return nil, err
 	}
-	img.Units["lib"] = st
+	units["lib"] = st
+	return &Runtime{key: key, copts: copts, asm: a, pool: pool, funcs: c.Funcs, globals: c.Globals, units: units}, nil
+}
 
-	st, err = c.CompileUnit(progForms, "main", progLines)
+// Build compiles the runtime system, the library and programSrc into one
+// executable image. The program's top-level forms become its main function;
+// its value is in R2 when the machine halts. It is CompileRuntime followed
+// by Runtime.Build; the runtime's compilation counts in the compile phase.
+func Build(programSrc string, opts BuildOptions) (*Image, error) {
+	start := time.Now()
+	r, err := CompileRuntime(opts)
 	if err != nil {
 		return nil, err
 	}
+	return r.build(programSrc, opts, time.Since(start))
+}
+
+// Build extends a copy of the runtime with programSrc and links the image.
+// opts must have the runtime's key. The image is word-for-word the one a
+// single pass over sys, lib and the program would produce: lispc rejects
+// redefinitions and calls to undefined functions, so declaring the program
+// after the runtime is compiled cannot change the runtime's code; the
+// compiler's global table is only ever written; and the label IDs that
+// shift never reach the image. The identity golden test pins this.
+func (r *Runtime) Build(programSrc string, opts BuildOptions) (*Image, error) {
+	return r.build(programSrc, opts, 0)
+}
+
+// build is Build with runtimeCompile, the time already spent compiling r,
+// added to the compile phase.
+func (r *Runtime) build(programSrc string, opts BuildOptions, runtimeCompile time.Duration) (*Image, error) {
+	opts, key, err := opts.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if key != r.key {
+		return nil, fmt.Errorf("runtime compiled for %+v cannot build for %+v", r.key, key)
+	}
+	phase := opts.Phase
+	if phase == nil {
+		phase = func(string, time.Duration) {}
+	}
+	phaseStart := time.Now()
+	progForms, progLines, err := parseUnit(sexpr.NewInterner(), "program", programSrc)
+	if err != nil {
+		return nil, err
+	}
+	phase("parse", time.Since(phaseStart))
+	phaseStart = time.Now()
+
+	a := r.asm.Clone()
+	pool := r.pool.clone()
+	c := lispc.New(a, r.copts, pool)
+	for name, fi := range r.funcs {
+		cp := *fi
+		c.Funcs[name] = &cp
+	}
+	c.Globals = maps.Clone(r.globals)
+	if err := c.DeclareUnit(progForms); err != nil {
+		return nil, err
+	}
+	st, err := c.CompileUnit(progForms, "main", progLines)
+	if err != nil {
+		return nil, err
+	}
+	img := &Image{
+		Scheme:   r.copts.Scheme,
+		HW:       opts.HW,
+		Checking: opts.Checking,
+		pool:     pool,
+		Units:    maps.Clone(r.units),
+	}
 	img.Units["program"] = st
 
-	emitGCGlue(a, c, gcGlue)
+	emitGCGlue(a, c, c.Funcs["sys:gc-glue"])
 	emitTrapGlue(a, c)
 	emitCheckFailGlue(a)
 	if opts.HW.Memtag && opts.HW.MemtagHW {
@@ -192,6 +284,7 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 
 	// Memory plan: static | semispace A | semispace B | stack, followed by
 	// the shadow color table when memory tagging is on.
+	geom := key.Memtag
 	staticEnd := pool.End()
 	heapA := (staticEnd + 7) &^ 7
 	if opts.HW.Memtag {
@@ -221,9 +314,9 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 	img.heapWords = opts.HeapWords
 	img.stackBase = stackBase
 
-	mem := make([]uint32, img.memWords)
-	copy(mem, pool.words)
-	setGlob := func(i int, v uint32) { mem[layout.GlobAddr(i)/4] = v }
+	static := make([]uint32, staticEnd/4)
+	copy(static, pool.words)
+	setGlob := func(i int, v uint32) { static[layout.GlobAddr(i)/4] = v }
 	setGlob(layout.GlobFromLo, heapA)
 	setGlob(layout.GlobFromHi, heapB)
 	setGlob(layout.GlobToLo, heapB)
@@ -235,9 +328,8 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 		// Color the trap page, globals and the whole static budget 1 so
 		// every static-object access passes the granule check; heap granules
 		// start at 0 (unallocated) and the stack is never granule-checked.
-		for gi := uint32(0); gi < heapA>>geom.GranuleLog2; gi++ {
-			mem[(geom.ShadowBase+(gi<<2))/4] = 1
-		}
+		img.shadowLo = int(geom.ShadowBase / 4)
+		img.shadowN = int(heapA >> geom.GranuleLog2)
 		setGlob(layout.GlobMemtagColor, 1)
 	}
 
@@ -251,11 +343,20 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 		if !ok {
 			continue
 		}
-		mem[addr/4+4] = scheme.MakePtr(tags.TCode, uint32(entry*4))
+		static[addr/4+4] = r.copts.Scheme.MakePtr(tags.TCode, uint32(entry*4))
 	}
-	img.memTemplate = mem
-	phase("compile", time.Since(phaseStart))
+	img.static = static
+	phase("compile", runtimeCompile+time.Since(phaseStart))
 	return img, nil
+}
+
+// parseUnit reads every form of one unit's source, interning symbols in in.
+func parseUnit(in *sexpr.Interner, name, src string) ([]sexpr.Value, int, error) {
+	forms, err := sexpr.NewReader(in, src).ReadAll()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", name, err)
+	}
+	return forms, countSourceLines(src), nil
 }
 
 func countSourceLines(src string) int {
@@ -342,8 +443,9 @@ const errWrongTypeHW = mipsx.ErrWrongTypeHW
 // tagging (the layout must be known before compilation).
 const memtagStaticBudget = 1 << 19
 
-// NewMachine instantiates a fresh machine for the image: memory template
-// copied, registers initialized, trap vectors wired.
+// NewMachine instantiates a fresh machine for the image: memory allocated
+// zeroed with the static words and shadow run written, registers
+// initialized, trap vectors wired.
 func (img *Image) NewMachine() *mipsx.Machine {
 	hw := tags.HWConfig(img.Scheme, img.HW)
 	if img.HW.ArithTrap {
@@ -358,7 +460,10 @@ func (img *Image) NewMachine() *mipsx.Machine {
 		hw.MemtagFailHandler = img.Prog.Labels["sys:memtagfail-glue"]
 	}
 	m := mipsx.NewMachine(img.Prog, img.memWords, hw)
-	copy(m.Mem, img.memTemplate)
+	copy(m.Mem, img.static)
+	for i := img.shadowLo; i < img.shadowLo+img.shadowN; i++ {
+		m.Mem[i] = 1
+	}
 	m.Regs[mipsx.RNil] = img.pool.nilItem
 	m.Regs[mipsx.RMask] = img.Scheme.PtrMaskConst()
 	m.Regs[mipsx.RHP] = img.heapALo

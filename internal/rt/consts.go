@@ -7,6 +7,8 @@ package rt
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/layout"
 	"repro/internal/lispc"
@@ -23,21 +25,25 @@ type constPool struct {
 	words []uint32 // image of [0, end) in words; static data from StaticBase
 	next  uint32   // next free byte address
 
-	syms   map[string]uint32 // name -> object address
-	strs   map[string]uint32 // contents -> item
-	quotes map[string]uint32 // printed form -> item
+	syms  map[string]uint32  // name -> object address
+	strs  map[string]uint32  // contents -> item
+	pairs map[pairKey]uint32 // (car item, cdr item) -> quoted pair item
 
 	nilItem uint32
-	order   []string // symbol interning order, for deterministic output
 }
+
+// pairKey identifies a quoted pair by its field items. Atoms are shared by
+// SymbolItem and StringItem, so keying pairs on their fields hash-conses
+// quoted structure bottom-up: equal quoted forms share one copy.
+type pairKey struct{ car, cdr uint32 }
 
 func newConstPool(s tags.Scheme) *constPool {
 	p := &constPool{
-		s:      s,
-		next:   layout.StaticBase,
-		syms:   make(map[string]uint32),
-		strs:   make(map[string]uint32),
-		quotes: make(map[string]uint32),
+		s:     s,
+		next:  layout.StaticBase,
+		syms:  make(map[string]uint32),
+		strs:  make(map[string]uint32),
+		pairs: make(map[pairKey]uint32),
 	}
 	// nil must exist before any other symbol so value/plist cells can be
 	// initialized; t gives booleans an identity.
@@ -77,7 +83,6 @@ func (p *constPool) SymbolItem(name string) uint32 {
 	}
 	addr := p.alloc(tags.TSymbol, symbolWords)
 	p.syms[name] = addr
-	p.order = append(p.order, name)
 	item := p.s.MakePtr(tags.TSymbol, addr)
 	if name == "nil" {
 		p.nilItem = item
@@ -125,19 +130,38 @@ func (p *constPool) StringItem(s string) uint32 {
 	return item
 }
 
-// QuoteItem builds static structure for a quoted form. Identical printed
-// forms share one copy.
+// QuoteItem builds static structure for a quoted form. Equal forms share
+// one copy. The cdr spine is walked iteratively, so building a list costs
+// time and space linear in its length.
 func (p *constPool) QuoteItem(v sexpr.Value) uint32 {
-	key := sexpr.String(v)
-	if item, ok := p.quotes[key]; ok {
-		return item
+	var spine []uint32 // car items of the list cells, in order
+	for {
+		cell, ok := v.(*sexpr.Cell)
+		if !ok {
+			break
+		}
+		spine = append(spine, p.QuoteItem(cell.Car))
+		v = cell.Cdr
 	}
-	item := p.buildQuoted(v)
-	p.quotes[key] = item
+	// Every car is built before the tail and the cells last to first, the
+	// order a car-then-cdr recursion allocates in.
+	item := p.quoteAtom(v)
+	for i := len(spine) - 1; i >= 0; i-- {
+		k := pairKey{spine[i], item}
+		if shared, ok := p.pairs[k]; ok {
+			item = shared
+			continue
+		}
+		addr := p.alloc(tags.TPair, 2)
+		p.set(addr, k.car)
+		p.set(addr+4, k.cdr)
+		item = p.s.MakePtr(tags.TPair, addr)
+		p.pairs[k] = item
+	}
 	return item
 }
 
-func (p *constPool) buildQuoted(v sexpr.Value) uint32 {
+func (p *constPool) quoteAtom(v sexpr.Value) uint32 {
 	switch q := v.(type) {
 	case nil:
 		return p.nilItem
@@ -151,17 +175,19 @@ func (p *constPool) buildQuoted(v sexpr.Value) uint32 {
 		return p.StringItem(string(q))
 	case *sexpr.Sym:
 		return p.SymbolItem(q.Name)
-	case *sexpr.Cell:
-		// Build the cdr first so long lists share tails when memoized;
-		// allocate the cell and fill both fields.
-		car := p.QuoteItem(q.Car)
-		cdr := p.QuoteItem(q.Cdr)
-		addr := p.alloc(tags.TPair, 2)
-		p.set(addr, car)
-		p.set(addr+4, cdr)
-		return p.s.MakePtr(tags.TPair, addr)
 	}
 	panic(cerr("cannot quote %s", sexpr.String(v)))
+}
+
+// clone returns an independent copy of the pool: allocating in either
+// leaves the other unchanged.
+func (p *constPool) clone() *constPool {
+	q := *p
+	q.words = slices.Clone(p.words)
+	q.syms = maps.Clone(p.syms)
+	q.strs = maps.Clone(p.strs)
+	q.pairs = maps.Clone(p.pairs)
+	return &q
 }
 
 // IntItem builds a fixnum item, panicking on overflow.

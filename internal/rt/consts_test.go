@@ -1,7 +1,10 @@
 package rt
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/layout"
 	"repro/internal/sexpr"
@@ -137,5 +140,42 @@ func TestBuildRejectsOversizedPlan(t *testing.T) {
 	_, err := Build("1", BuildOptions{Scheme: tags.High5, HeapWords: 1 << 23})
 	if err == nil {
 		t.Error("a memory plan beyond the fixnum-safe address space must fail")
+	}
+}
+
+// TestBuildLongQuotedListLinear is the regression test for quoted
+// constants built in quadratic time and space: a quoted list from a source
+// of about 500 KB (near the service's 1 MB body limit) must build in
+// bounded time and allocation.
+func TestBuildLongQuotedListLinear(t *testing.T) {
+	const n = 250_000
+	src := "(car (cdr '(2 " + strings.Repeat("1 ", n) + ")))"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	img, err := Build(src, BuildOptions{Scheme: tags.High5})
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte source: built in %v, allocated %.1f MB", len(src), elapsed, float64(alloc)/1e6)
+	// Linear costs are a few tens of MB and well under a second; the
+	// quadratic builder needed over 400 MB and 4 s for a list 25 times
+	// shorter.
+	if limit := uint64(200 * len(src)); alloc > limit {
+		t.Errorf("allocated %d bytes, want at most %d", alloc, limit)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("build took %v, want under 10s", elapsed)
+	}
+	m := img.NewMachine()
+	m.MaxCycles = 10_000_000
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sexpr.String(img.DecodeItem(m.Mem, m.Regs[2])); got != "1" {
+		t.Errorf("value %s, want 1", got)
 	}
 }

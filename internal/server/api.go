@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -129,11 +130,24 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON renders v as a response body: two-space indent, trailing
+// newline.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // response values always encode
+	return buf.Bytes()
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
+	w.Write(body) //nolint:errcheck // the client is gone if this fails
 }
 
 // decodeBody strictly decodes a JSON request body into v.
@@ -217,7 +231,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, runStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, core.NewRunReport(p, req.Config.Config, res))
+	// The report depends on the request only through the program, which
+	// its name identifies, and the configuration's Key: the result cache
+	// key. So it is encoded once per cached Result.
+	writeBody(w, http.StatusOK, res.Body(func() []byte {
+		return encodeJSON(core.NewRunReport(p, req.Config.Config, res))
+	}))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

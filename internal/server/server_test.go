@@ -421,3 +421,61 @@ func TestInlineProgramName(t *testing.T) {
 		t.Errorf("name %s, want inline- and 64 hex digits", a)
 	}
 }
+
+// TestRunBodyMemo pins the memoized /v1/run success body: for one result
+// cache key it is byte-identical across cache hits and spellings of the
+// configuration, equals a fresh encoding of NewRunReport, and never
+// crosses keys — distinct inline sources get their own bodies, also after
+// the cache evicts and re-runs them.
+func TestRunBodyMemo(t *testing.T) {
+	s, ts := testServer(t, Options{CacheCap: 1})
+	fresh := func(p *programs.Program, spec string) []byte {
+		t.Helper()
+		cfg, err := core.ParseConfig(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Runner().Run(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(core.NewRunReport(p, cfg, res)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	run := func(body map[string]any) []byte {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/v1/run", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: status %d: %s", body, resp.StatusCode, data)
+		}
+		return data
+	}
+
+	comp := programs.MustByName("comp")
+	first := run(map[string]any{"program": "comp", "config": "high5+check"})
+	for _, cfg := range []any{"high5+check", map[string]any{"scheme": "high5", "checking": true}} {
+		if again := run(map[string]any{"program": "comp", "config": cfg}); !bytes.Equal(again, first) {
+			t.Errorf("config %v: cache-hit body differs from the first:\n%s\nvs\n%s", cfg, again, first)
+		}
+	}
+	if want := fresh(comp, "high5+check"); !bytes.Equal(first, want) {
+		t.Errorf("memoized body differs from a fresh encoding:\n%s\nvs\n%s", first, want)
+	}
+
+	// Two inline sources alternate through a one-entry cache, so every
+	// request evicts the other's result and memo.
+	srcs := []string{"(+ 1 2)", "(cons 3 4)"}
+	for round := 0; round < 2; round++ {
+		for _, src := range srcs {
+			got := run(map[string]any{"source": src, "config": "low3"})
+			if want := fresh(inlineProgram(src), "low3"); !bytes.Equal(got, want) {
+				t.Errorf("round %d, source %q: body\n%s\nwant\n%s", round, src, got, want)
+			}
+		}
+	}
+}
