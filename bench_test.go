@@ -12,6 +12,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mipsx"
@@ -248,5 +249,46 @@ func BenchmarkEngine(b *testing.B) {
 	for _, e := range []mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated, mipsx.EngineReference} {
 		e := e
 		b.Run(e.String(), func(b *testing.B) { benchPrograms(b, e) })
+	}
+}
+
+// BenchmarkCold measures the run users actually make: every iteration
+// builds a fresh image (rt.Build), makes a machine and runs it once, so
+// translation and superblock formation are paid in full every time, as in
+// a tagsim run, a table cell or a service request. Native and translated
+// run the same cold iterations; `cmd/benchjson` prints their per-program
+// ratio next to the warm BenchmarkPrograms one. form-ms/op is the part of
+// each run spent forming superblocks (0 on translated).
+func BenchmarkCold(b *testing.B) {
+	for _, e := range []mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated} {
+		e := e
+		b.Run(e.String(), func(b *testing.B) {
+			for _, p := range programs.All() {
+				p := p
+				b.Run(p.Name, func(b *testing.B) {
+					opts := rt.BuildOptions{Scheme: tags.High5, Checking: true, HeapWords: p.HeapWords}
+					var instrs uint64
+					var form time.Duration
+					for i := 0; i < b.N; i++ {
+						img, err := rt.Build(p.Source, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						m := img.NewMachine()
+						m.MaxCycles = 3_000_000_000
+						if err := m.RunEngine(e); err != nil {
+							b.Fatal(err)
+						}
+						instrs = m.Stats.Instrs
+						_, nc := img.Prog.JITTimes()
+						form += nc
+					}
+					n := float64(b.N)
+					b.ReportMetric(float64(instrs)*n/float64(b.Elapsed().Nanoseconds())*1e3, "Minstr/s")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/1e6, "ms/op")
+					b.ReportMetric(float64(form.Nanoseconds())/n/1e6, "form-ms/op")
+				})
+			}
+		})
 	}
 }

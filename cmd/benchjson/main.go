@@ -1,7 +1,8 @@
 // Command benchjson runs the BenchmarkPrograms throughput benchmark under
-// all three simulator engines and archives the result as BENCH_<n>.json at
-// the repository root (the lowest unused index). The Makefile target
-// `make bench-json` invokes it; `make bench-compare` prints the per-engine
+// all three simulator engines, and the BenchmarkCold build-and-run-once
+// benchmark under native and translated, and archives the result as
+// BENCH_<n>.json at the repository root (the lowest unused index). The
+// Makefile target `make bench-json` invokes it; `make bench-compare` prints the per-engine
 // comparison table from a fresh run. When an earlier BENCH_<n>.json
 // exists, the run also prints each engine's geometric-mean speedup over
 // the most recent archived baseline.
@@ -38,6 +39,10 @@ type Doc struct {
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Benchtime  string   `json:"benchtime"`
 	Engines    []Engine `json:"engines"`
+	// Cold holds BenchmarkCold per engine: every iteration builds a fresh
+	// image and runs it once, so translation and superblock formation are
+	// paid in full, as in a real run (absent in archives before it).
+	Cold []Engine `json:"cold,omitempty"`
 }
 
 // gitSHA asks git for HEAD; an archived record should say which commit
@@ -72,6 +77,9 @@ type Program struct {
 // names are explicit (never "") because the empty selector means the
 // default engine, which would silently re-measure translated twice.
 var engines = []string{"native", "translated", "reference"}
+
+// coldEngines are BenchmarkCold's sub-benchmarks: the two fast engines.
+var coldEngines = []string{"native", "translated"}
 
 func main() {
 	smoke := flag.Bool("smoke", false, "short BenchmarkEngine run; exit nonzero if translated is under 2.0x reference or native under 1.5x translated")
@@ -114,6 +122,17 @@ func runArchive(benchtime, out, baseline string) error {
 			return fmt.Errorf("engine %s: %w", eng, err)
 		}
 		doc.Engines = append(doc.Engines, Engine{Name: eng, Programs: progs})
+	}
+	coldBuf, err := runBench("^BenchmarkCold$", benchtime, "")
+	if err != nil {
+		return fmt.Errorf("cold: %w", err)
+	}
+	for _, eng := range coldEngines {
+		progs, err := parseBench(coldBuf, "BenchmarkCold/"+eng+"/")
+		if err != nil {
+			return fmt.Errorf("cold %s: %w", eng, err)
+		}
+		doc.Cold = append(doc.Cold, Engine{Name: eng, Programs: progs})
 	}
 	printComparison(&doc)
 	path := out
@@ -217,37 +236,47 @@ func geomeanRatio(num, den map[string]float64, visit func(name string, n, d floa
 	return math.Exp(logSum / float64(n))
 }
 
-// printComparison prints per-program Minstr/s side by side with the
-// native/translated and translated/reference speedup columns, then the
-// geometric means over all programs.
+// printComparison prints per-program warm Minstr/s side by side with the
+// native/translated and translated/reference speedup columns and, when the
+// run has a cold row, the cold native and translated ms per run and their
+// native/translated ratio; then the geometric means over all programs.
 func printComparison(doc *Doc) {
-	byEngine := map[string]map[string]float64{}
-	var order []string
-	for _, e := range doc.Engines {
+	byEngine := minstrBy(doc.Engines)
+	coldMS := map[string]map[string]float64{}
+	for _, e := range doc.Cold {
 		m := map[string]float64{}
 		for _, p := range e.Programs {
-			m[p.Name] = p.MinstrS
-			if e.Name == doc.Engines[0].Name {
-				order = append(order, p.Name)
-			}
+			m[p.Name] = p.NsPerOp / 1e6
 		}
-		byEngine[e.Name] = m
+		coldMS[e.Name] = m
+	}
+	var order []string
+	if len(doc.Engines) > 0 {
+		for _, p := range doc.Engines[0].Programs {
+			order = append(order, p.Name)
+		}
 	}
 	fmt.Printf("%-8s", "program")
 	for _, e := range engines {
 		fmt.Printf(" %12s", e)
 	}
-	fmt.Printf(" %8s %8s\n", "na/tr", "tr/ref")
+	fmt.Printf(" %8s %8s", "na/tr", "tr/ref")
+	if len(doc.Cold) > 0 {
+		fmt.Printf(" %12s %12s %8s", "cold native", "cold transl", "cold n/t")
+	}
+	fmt.Println()
 	for _, name := range order {
 		fmt.Printf("%-8s", name)
 		for _, e := range engines {
 			fmt.Printf(" %8.1f M/s", byEngine[e][name])
 		}
-		if tr := byEngine["translated"][name]; tr > 0 {
-			fmt.Printf(" %7.2fx", byEngine["native"][name]/tr)
-		}
-		if ref := byEngine["reference"][name]; ref > 0 {
-			fmt.Printf(" %7.2fx", byEngine["translated"][name]/ref)
+		fmt.Printf(" %7.2fx %7.2fx", ratio(byEngine["native"][name], byEngine["translated"][name]),
+			ratio(byEngine["translated"][name], byEngine["reference"][name]))
+		if len(doc.Cold) > 0 {
+			na, tr := coldMS["native"][name], coldMS["translated"][name]
+			// Both engines run the same instructions, so the throughput
+			// ratio is the inverse of the time ratio.
+			fmt.Printf(" %9.1f ms %9.1f ms %7.2fx", na, tr, ratio(tr, na))
 		}
 		fmt.Println()
 	}
@@ -255,6 +284,32 @@ func printComparison(doc *Doc) {
 	trRef := geomeanRatio(byEngine["translated"], byEngine["reference"], nil)
 	fmt.Printf("geomean native/translated: %.2fx, translated/reference: %.2fx over %d programs\n",
 		naTr, trRef, len(order))
+	if len(doc.Cold) > 0 {
+		cold := minstrBy(doc.Cold)
+		fmt.Printf("geomean cold native/translated: %.2fx\n",
+			geomeanRatio(cold["native"], cold["translated"], nil))
+	}
+}
+
+// minstrBy indexes Minstr/s by engine, then program.
+func minstrBy(es []Engine) map[string]map[string]float64 {
+	by := map[string]map[string]float64{}
+	for _, e := range es {
+		m := map[string]float64{}
+		for _, p := range e.Programs {
+			m[p.Name] = p.MinstrS
+		}
+		by[e.Name] = m
+	}
+	return by
+}
+
+// ratio is num/den, or 0 when den is not positive.
+func ratio(num, den float64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return num / den
 }
 
 // printBaseline prints each engine's geometric-mean throughput ratio of
@@ -269,21 +324,10 @@ func printBaseline(doc *Doc, path string) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	baseBy := map[string]map[string]float64{}
-	for _, e := range base.Engines {
-		m := map[string]float64{}
-		for _, p := range e.Programs {
-			m[p.Name] = p.MinstrS
-		}
-		baseBy[e.Name] = m
-	}
+	baseBy, cur := minstrBy(base.Engines), minstrBy(doc.Engines)
 	fmt.Printf("vs %s (%s):\n", path, base.Date)
 	for _, e := range doc.Engines {
-		cur := map[string]float64{}
-		for _, p := range e.Programs {
-			cur[p.Name] = p.MinstrS
-		}
-		if ratio := geomeanRatio(cur, baseBy[e.Name], nil); ratio > 0 {
+		if ratio := geomeanRatio(cur[e.Name], baseBy[e.Name], nil); ratio > 0 {
 			fmt.Printf("  %-10s %.2fx geomean speedup\n", e.Name, ratio)
 		} else {
 			fmt.Printf("  %-10s not in baseline\n", e.Name)

@@ -50,7 +50,7 @@ PASS
 func TestDocSchema(t *testing.T) {
 	doc := Doc{Schema: "tagsim-bench/v1", Engines: []Engine{
 		{Name: "fused", Programs: []Program{{Name: "boyer"}}},
-	}}
+	}, Cold: []Engine{{Name: "native", Programs: []Program{{Name: "boyer"}}}}}
 	b, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestDocSchema(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"schema", "date", "go_version", "goos", "goarch", "gomaxprocs", "engines"} {
+	for _, key := range []string{"schema", "date", "go_version", "goos", "goarch", "gomaxprocs", "engines", "cold"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("Doc JSON lost key %q: %s", key, b)
 		}

@@ -45,10 +45,12 @@ func (m *Machine) RunNative() error {
 // config because a mismatched run never reads them.
 type nativeProg struct {
 	sig nsig
-	// sbs densely indexes the formed superblocks (copy-on-write, like
-	// Program.blist) so per-machine superblock counters can be flat
-	// arrays; exitLen is the total number of exit-site counter slots the
-	// formed superblocks need (each contributes len(elems)+1).
+	// sbs densely indexes the formed superblocks so per-machine
+	// superblock counters can be flat arrays. Each formation stores a new
+	// slice header, appended into spare capacity: a loaded list never
+	// changes below its length. exitLen is the total number of exit-site
+	// counter slots the formed superblocks need (each contributes
+	// len(elems)+1).
 	sbs     atomic.Pointer[[]*sblock]
 	exitLen atomic.Int32
 }

@@ -500,39 +500,6 @@ dispatch:
 				mem[addr>>2] = r[s.rs2]
 			}
 
-		case kEdge:
-			var taken bool
-			switch Op(s.rd) {
-			case BEQ:
-				taken = r[s.rs1] == r[s.rs2]
-			case BNE:
-				taken = r[s.rs1] != r[s.rs2]
-			case BLT:
-				taken = int32(r[s.rs1]) < int32(r[s.rs2])
-			case BGE:
-				taken = int32(r[s.rs1]) >= int32(r[s.rs2])
-			case BLE:
-				taken = int32(r[s.rs1]) <= int32(r[s.rs2])
-			case BGT:
-				taken = int32(r[s.rs1]) > int32(r[s.rs2])
-			case BEQI:
-				taken = int32(r[s.rs1]) == s.imm
-			case BNEI:
-				taken = int32(r[s.rs1]) != s.imm
-			case BLTI:
-				taken = int32(r[s.rs1]) < s.imm
-			case BGEI:
-				taken = int32(r[s.rs1]) >= s.imm
-			case BTEQ:
-				taken = uint8((r[s.rs1]>>hw.TagShift)&hw.TagMask) == s.tag
-			case BTNE:
-				taken = uint8((r[s.rs1]>>hw.TagShift)&hw.TagMask) != s.tag
-			}
-			if taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
-			}
-
 		case kEdgeJr:
 			if r[s.rs1] != uint32(s.imm) {
 				x.side(s.rd2, false)

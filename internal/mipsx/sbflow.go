@@ -56,6 +56,7 @@ package mipsx
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 )
@@ -113,69 +114,55 @@ type sbUnit struct {
 	slot bool
 }
 
-// sbOptResult is what optimizeUnits hands back to formSuperblock.
-type sbOptResult struct {
-	steps []tstep
-	// Per-element unit ranges in steps, same convention as sbElem.
-	stepLo, slotLo, stepHi []int32
-	// Per-element count of checks elided from that element's units.
-	elided []uint16
-	// Static pass totals for introspection.
-	elidedChecks int32 // check sites removed or weakened
-	droppedSteps int32 // redundant pure units dropped
-	rawUnits     int32 // units before optimization
-}
-
-// optimizeUnits runs elision, refusion and edge fusion over the stream.
-func optimizeUnits(units []sbUnit, nElems int, sig *nsig, opt SBOpt) sbOptResult {
-	res := sbOptResult{rawUnits: int32(len(units))}
-	elided := make([]uint16, nElems)
+// optimizeUnits runs elision, refusion and edge fusion over the stream
+// units of sb, using a as the analysis state, and stores the result in sb:
+// the exactly sized step stream, each element's step ranges and elided
+// count, and the static pass totals.
+func optimizeUnits(sb *sblock, units []sbUnit, a *vnAn, sig *nsig, opt SBOpt) {
+	sb.rawSteps = int32(len(units))
 	if !opt.NoElide {
-		units = elideUnits(units, sig, elided, &res)
+		a.reset(sig)
+		units = elideUnits(units, sb, a)
 	}
 	units = refuseUnits(units, !opt.NoRefuse)
 	if !opt.NoRefuse {
-		units = fuseEdgeUnits(units, elided, &res)
+		units = fuseEdgeUnits(units)
 	}
 	units = foldJrSlots(units)
 
-	res.steps = make([]tstep, len(units))
-	res.stepLo = make([]int32, nElems)
-	res.slotLo = make([]int32, nElems)
-	res.stepHi = make([]int32, nElems)
-	res.elided = elided
+	sb.steps = make([]tstep, len(units))
+	elems := sb.elems
 	cur := int32(0)
-	res.stepLo[0] = 0
-	res.slotLo[0] = -1
+	elems[0].stepLo = 0
+	elems[0].slotLo = -1
 	for i := range units {
 		u := &units[i]
 		for cur < u.elem {
-			if res.slotLo[cur] < 0 {
-				res.slotLo[cur] = int32(i)
+			if elems[cur].slotLo < 0 {
+				elems[cur].slotLo = int32(i)
 			}
-			res.stepHi[cur] = int32(i)
+			elems[cur].stepHi = int32(i)
 			cur++
-			res.stepLo[cur] = int32(i)
-			res.slotLo[cur] = -1
+			elems[cur].stepLo = int32(i)
+			elems[cur].slotLo = -1
 		}
-		if u.slot && res.slotLo[cur] < 0 {
-			res.slotLo[cur] = int32(i)
+		if u.slot && elems[cur].slotLo < 0 {
+			elems[cur].slotLo = int32(i)
 		}
-		res.steps[i] = u.s
+		sb.steps[i] = u.s
 	}
 	for {
-		if res.slotLo[cur] < 0 {
-			res.slotLo[cur] = int32(len(units))
+		if elems[cur].slotLo < 0 {
+			elems[cur].slotLo = int32(len(units))
 		}
-		res.stepHi[cur] = int32(len(units))
+		elems[cur].stepHi = int32(len(units))
 		cur++
-		if int(cur) >= nElems {
+		if int(cur) >= len(elems) {
 			break
 		}
-		res.stepLo[cur] = int32(len(units))
-		res.slotLo[cur] = -1
+		elems[cur].stepLo = int32(len(units))
+		elems[cur].slotLo = -1
 	}
-	return res
 }
 
 // Fact kinds for the availability analysis. Every fact is a predicate over
@@ -190,84 +177,176 @@ const (
 	fTAGEQ              // tag field of value a equals immediate
 )
 
-type factKey struct {
-	kind uint8
-	a, b uint32
-	imm  int32
-}
-
-// vnKey interns the result class of a pure operation.
+// vnKey is the key of all three analysis tables. In vnAn.tab it interns
+// the result class of a pure operation (op, operand VNs a and b, imm); in
+// vnAn.facts it names a fact (op is the fact kind); in vnAn.mt it names
+// one granule check (a is the checked item's VN, b the color-base
+// register's VN, imm the access offset).
 type vnKey struct {
 	op   uint8
 	a, b uint32
 	imm  int32
 }
 
-// mtKey identifies one granule check: the checked item's VN, the access
-// offset, and the color-base register's VN. Kept in a set separate from
-// the register facts because granule colors live in simulated memory:
-// any store clears the whole set.
-type mtKey struct {
-	av, cv uint32
-	imm    int32
+// hash mixes every field of k into 64 bits whose top bits index a vnTable
+// (multiplicative hashing: the high bits of a product depend on all the
+// low bits of its factors).
+func (k vnKey) hash() uint64 {
+	h := uint64(k.a)<<32 | uint64(k.b)
+	h ^= (uint64(uint32(k.imm))<<8 | uint64(k.op)) * 0x9e3779b97f4a7c15
+	return h * 0xbf58476d1ce4e5b9
 }
 
-// vnAn is the analysis state of one forward walk.
-type vnAn struct {
-	vn     [33]uint32 // current VN per working register (incl. RScratch)
-	next   uint32
-	tab    map[vnKey]uint32
-	consts map[uint32]int32 // VNs with a known constant value
-	facts  map[factKey]bool
-	posTag map[uint32]uint8 // VN -> proven tag field (from a true fTAGEQ)
-	posImm map[uint32]int32 // VN -> proven value (from a true fEQI)
-	mt     map[mtKey]bool
-	sig    *nsig // the config the stream is formed for (tag geometry)
+// vnSlot is one vnTable cell; it is occupied when its gen is the table's.
+type vnSlot struct {
+	gen uint32
+	val uint32
+	key vnKey
 }
 
-func newVNAn(sig *nsig) *vnAn {
-	a := &vnAn{
-		tab:    make(map[vnKey]uint32),
-		consts: make(map[uint32]int32),
-		facts:  make(map[factKey]bool),
-		posTag: make(map[uint32]uint8),
-		posImm: make(map[uint32]int32),
-		mt:     make(map[mtKey]bool),
-		sig:    sig,
+// vnTable is an open-addressed (linear probing) map from vnKey to uint32,
+// emptied in O(1) by bumping a generation stamp, so one table serves every
+// formation a machine performs and the granule-check set can be killed at
+// every store without touching its cells. Its size is a power of two, at
+// most half full.
+type vnTable struct {
+	slots []vnSlot
+	gen   uint32
+	shift uint8 // 64 - log2(len(slots))
+	n     int
+}
+
+// reset empties t.
+func (t *vnTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 { // wrapped: stale stamps would read as occupied
+		clear(t.slots)
+		t.gen = 1
 	}
+}
+
+// get returns k's value and whether k is present.
+func (t *vnTable) get(k vnKey) (uint32, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	mask := len(t.slots) - 1
+	for i := int(k.hash() >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			return 0, false
+		}
+		if s.key == k {
+			return s.val, true
+		}
+	}
+}
+
+// cell returns k's value cell, inserting k with value 0 when it is absent;
+// found reports whether k was present. The pointer is valid until the
+// next insertion.
+func (t *vnTable) cell(k vnKey) (val *uint32, found bool) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := int(k.hash() >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = vnSlot{gen: t.gen, key: k}
+			t.n++
+			return &s.val, false
+		}
+		if s.key == k {
+			return &s.val, true
+		}
+	}
+}
+
+// grow doubles t (to 64 cells at first) and reinserts its entries.
+func (t *vnTable) grow() {
+	old, gen := t.slots, t.gen
+	size := max(64, 2*len(old))
+	t.slots = make([]vnSlot, size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	t.gen, t.n = 1, 0
+	for i := range old {
+		if old[i].gen == gen {
+			v, _ := t.cell(old[i].key)
+			*v = old[i].val
+		}
+	}
+}
+
+// What vnInfo.has records about a value number.
+const (
+	vnConst  uint8 = 1 << iota // konst is the VN's constant value
+	vnPosImm                   // imm is its value, proven by a passed guard
+	vnPosTag                   // tag is its tag field, proven by a passed guard
+)
+
+// vnInfo is what the analysis knows about one value number.
+type vnInfo struct {
+	has   uint8
+	tag   uint8
+	konst int32
+	imm   int32
+}
+
+// vnAn is the analysis state of one forward walk. Value numbers are dense
+// (0 to len(info)-1), so per-VN knowledge is a slice, not a map. A machine
+// keeps one vnAn in its formation scratch and resets it per stream.
+type vnAn struct {
+	vn    [33]uint32 // current VN per working register (incl. RScratch)
+	info  []vnInfo   // per-VN constants and proven values, indexed by VN
+	tab   vnTable    // pure-operation interning: key -> VN
+	facts vnTable    // guard-established facts: key -> truth (0 or 1)
+	mt    vnTable    // granule checks passed since the last store
+	sig   *nsig      // the config the stream is formed for (tag geometry)
+}
+
+// reset prepares a for a walk over a stream formed for sig: every working
+// register holds its own initial VN and nothing is known.
+func (a *vnAn) reset(sig *nsig) {
+	a.sig = sig
+	a.info = a.info[:0]
 	for i := range a.vn {
 		a.vn[i] = uint32(i)
+		a.info = append(a.info, vnInfo{})
 	}
-	a.next = uint32(len(a.vn))
-	return a
+	a.tab.reset()
+	a.facts.reset()
+	a.mt.reset()
 }
 
 func (a *vnAn) fresh() uint32 {
-	v := a.next
-	a.next++
+	v := uint32(len(a.info))
+	a.info = append(a.info, vnInfo{})
 	return v
 }
 
 func (a *vnAn) intern(k vnKey) uint32 {
-	if v, ok := a.tab[k]; ok {
-		return v
+	v, ok := a.tab.cell(k)
+	if !ok {
+		*v = a.fresh()
 	}
-	v := a.fresh()
-	a.tab[k] = v
-	return v
+	return *v
 }
 
 // constVN interns the VN of a known constant.
 func (a *vnAn) constVN(v int32) uint32 {
 	id := a.intern(vnKey{op: uint8(LI), imm: v})
-	a.consts[id] = v
+	in := &a.info[id]
+	in.has |= vnConst
+	in.konst = v
 	return id
 }
 
 // killStores clears the granule-check facts; called for every store kind.
 func (a *vnAn) killStores() {
-	if len(a.mt) > 0 {
-		clear(a.mt)
+	if a.mt.n > 0 {
+		a.mt.reset()
 	}
 }
 
@@ -288,7 +367,8 @@ func (a *vnAn) pureVN(s *tstep) (uint32, bool) {
 		}
 		fallthrough
 	case ANDI:
-		if c, ok := a.consts[v1]; ok {
+		if in := &a.info[v1]; in.has&vnConst != 0 {
+			c := in.konst
 			var r int32
 			switch op {
 			case ADDI:
@@ -339,7 +419,7 @@ func (a *vnAn) pureVN(s *tstep) (uint32, bool) {
 // edgePred canonicalizes a conditional edge's predicate: the fact key, the
 // sense relating the fact's truth to "branch taken", and the branch
 // operands' validity.
-func (a *vnAn) edgePred(op Op, s *tstep) (key factKey, sense bool, ok bool) {
+func (a *vnAn) edgePred(op Op, s *tstep) (key vnKey, sense bool, ok bool) {
 	v1 := a.vn[s.rs1]
 	switch op {
 	case BEQ, BNE:
@@ -347,50 +427,51 @@ func (a *vnAn) edgePred(op Op, s *tstep) (key factKey, sense bool, ok bool) {
 		if v2 < v1 {
 			v1, v2 = v2, v1
 		}
-		return factKey{kind: fEQ, a: v1, b: v2}, op == BEQ, true
+		return vnKey{op: fEQ, a: v1, b: v2}, op == BEQ, true
 	case BLT, BGE:
-		return factKey{kind: fLT, a: v1, b: a.vn[s.rs2]}, op == BLT, true
+		return vnKey{op: fLT, a: v1, b: a.vn[s.rs2]}, op == BLT, true
 	case BLE, BGT: // a<=b == !(b<a); a>b == b<a
-		return factKey{kind: fLT, a: a.vn[s.rs2], b: v1}, op == BGT, true
+		return vnKey{op: fLT, a: a.vn[s.rs2], b: v1}, op == BGT, true
 	case BEQI, BNEI:
-		return factKey{kind: fEQI, a: v1, imm: s.imm}, op == BEQI, true
+		return vnKey{op: fEQI, a: v1, imm: s.imm}, op == BEQI, true
 	case BLTI, BGEI:
-		return factKey{kind: fLTI, a: v1, imm: s.imm}, op == BLTI, true
+		return vnKey{op: fLTI, a: v1, imm: s.imm}, op == BLTI, true
 	case BTEQ, BTNE:
-		return factKey{kind: fTAGEQ, a: v1, imm: int32(s.tag)}, op == BTEQ, true
+		return vnKey{op: fTAGEQ, a: v1, imm: int32(s.tag)}, op == BTEQ, true
 	}
-	return factKey{}, false, false
+	return vnKey{}, false, false
 }
 
 // lookupFact resolves a fact's truth from recorded guards, proven values,
 // and constants. The second result is false when the truth is unknown.
-func (a *vnAn) lookupFact(k factKey) (bool, bool) {
-	if v, ok := a.facts[k]; ok {
-		return v, true
+func (a *vnAn) lookupFact(k vnKey) (bool, bool) {
+	if v, ok := a.facts.get(k); ok {
+		return v != 0, true
 	}
-	c1, ok1 := a.consts[k.a]
-	switch k.kind {
+	i1 := &a.info[k.a]
+	c1, ok1 := i1.konst, i1.has&vnConst != 0
+	switch k.op {
 	case fEQI:
-		if v, ok := a.posImm[k.a]; ok {
-			return v == k.imm, true
+		if i1.has&vnPosImm != 0 {
+			return i1.imm == k.imm, true
 		}
 		if ok1 {
 			return c1 == k.imm, true
 		}
 	case fLTI:
-		if v, ok := a.posImm[k.a]; ok {
-			return v < k.imm, true
+		if i1.has&vnPosImm != 0 {
+			return i1.imm < k.imm, true
 		}
 		if ok1 {
 			return c1 < k.imm, true
 		}
 	case fTAGEQ:
-		if t, ok := a.posTag[k.a]; ok {
-			return t == uint8(k.imm), true
+		if i1.has&vnPosTag != 0 {
+			return i1.tag == uint8(k.imm), true
 		}
 		v := uint32(0)
-		if v2, ok := a.posImm[k.a]; ok {
-			v, ok1 = uint32(v2), true
+		if i1.has&vnPosImm != 0 {
+			v, ok1 = uint32(i1.imm), true
 		} else if ok1 {
 			v = uint32(c1)
 		}
@@ -399,10 +480,11 @@ func (a *vnAn) lookupFact(k factKey) (bool, bool) {
 		}
 	case fEQ, fLT:
 		if k.a == k.b {
-			return k.kind == fEQ, true
+			return k.op == fEQ, true
 		}
-		if c2, ok2 := a.consts[k.b]; ok1 && ok2 {
-			if k.kind == fEQ {
+		if i2 := &a.info[k.b]; ok1 && i2.has&vnConst != 0 {
+			c2 := i2.konst
+			if k.op == fEQ {
 				return c1 == c2, true
 			}
 			return c1 < c2, true
@@ -412,36 +494,51 @@ func (a *vnAn) lookupFact(k factKey) (bool, bool) {
 }
 
 // recordFact stores a guard-established fact and its implications.
-func (a *vnAn) recordFact(k factKey, val bool) {
-	a.facts[k] = val
+func (a *vnAn) recordFact(k vnKey, val bool) {
+	v, _ := a.facts.cell(k)
+	*v = 0
 	if !val {
 		return
 	}
-	switch k.kind {
+	*v = 1
+	switch k.op {
 	case fEQI:
-		a.posImm[k.a] = k.imm
+		a.setPosImm(k.a, k.imm)
 	case fTAGEQ:
-		a.posTag[k.a] = uint8(k.imm)
+		a.setPosTag(k.a, uint8(k.imm))
 	case fEQ:
 		// Equality merges knowledge between the two classes.
-		if v, ok := a.posImm[k.a]; ok {
-			a.posImm[k.b] = v
-		} else if v, ok := a.posImm[k.b]; ok {
-			a.posImm[k.a] = v
+		ia, ib := &a.info[k.a], &a.info[k.b]
+		if ia.has&vnPosImm != 0 {
+			a.setPosImm(k.b, ia.imm)
+		} else if ib.has&vnPosImm != 0 {
+			a.setPosImm(k.a, ib.imm)
 		}
-		if t, ok := a.posTag[k.a]; ok {
-			a.posTag[k.b] = t
-		} else if t, ok := a.posTag[k.b]; ok {
-			a.posTag[k.a] = t
+		if ia.has&vnPosTag != 0 {
+			a.setPosTag(k.b, ia.tag)
+		} else if ib.has&vnPosTag != 0 {
+			a.setPosTag(k.a, ib.tag)
 		}
 	}
 }
 
-// elideUnits is the forward availability walk. It returns the surviving
-// units, bumps elided[elem] for every check site removed or weakened, and
-// fills the pass totals in res.
-func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []sbUnit {
-	a := newVNAn(sig)
+func (a *vnAn) setPosImm(vn uint32, v int32) {
+	in := &a.info[vn]
+	in.has |= vnPosImm
+	in.imm = v
+}
+
+func (a *vnAn) setPosTag(vn uint32, t uint8) {
+	in := &a.info[vn]
+	in.has |= vnPosTag
+	in.tag = t
+}
+
+// elideUnits is the forward availability walk, over the reset analysis
+// state a. It returns the surviving units, bumps the element's elided
+// count for every check site removed or weakened, and fills the pass
+// totals in sb.
+func elideUnits(units []sbUnit, sb *sblock, a *vnAn) []sbUnit {
 	out := units[:0]
 	for i := range units {
 		u := units[i]
@@ -456,15 +553,15 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 			case ST, STT:
 				a.killStores()
 			case LDC, STC:
-				k := factKey{kind: fTAGEQ, a: a.vn[s.rs1], imm: int32(s.tag)}
+				k := vnKey{op: fTAGEQ, a: a.vn[s.rs1], imm: int32(s.tag)}
 				if v, known := a.lookupFact(k); known && v {
 					if op == LDC {
 						s.kind = kLdcNC
 					} else {
 						s.kind = kStcNC
 					}
-					elided[u.elem]++
-					res.elidedChecks++
+					sb.elems[u.elem].elided++
+					sb.elidedChecks++
 				} else if !known {
 					a.recordFact(k, true)
 				}
@@ -478,17 +575,17 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 				if cb == RZero {
 					cb = s.rs1
 				}
-				k := mtKey{av: a.vn[s.rs1], cv: a.vn[cb], imm: s.imm}
-				if a.mt[k] {
+				k := vnKey{a: a.vn[s.rs1], b: a.vn[cb], imm: s.imm}
+				if _, seen := a.mt.get(k); seen {
 					if op == LDM {
 						s.kind = kLdmNC
 					} else {
 						s.kind = kStmNC
 					}
-					elided[u.elem]++
-					res.elidedChecks++
+					sb.elems[u.elem].elided++
+					sb.elidedChecks++
 				} else if op == LDM {
-					a.mt[k] = true
+					a.mt.cell(k)
 				}
 				if op == LDM {
 					a.vn[s.rd] = a.fresh()
@@ -498,7 +595,7 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 			default:
 				if nv, pure := a.pureVN(s); pure {
 					if a.vn[s.rd] == nv {
-						res.droppedSteps++
+						sb.droppedSteps++
 						continue
 					}
 					a.vn[s.rd] = nv
@@ -512,12 +609,8 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 		}
 
 		switch k := s.kind; {
-		case k == kEdge || (k >= kEdgeOp0 && k < kEdgeOp0+12):
-			op := Op(s.rd)
-			if k != kEdge {
-				op = BEQ + Op(k-kEdgeOp0)
-			}
-			key, sense, ok := a.edgePred(op, s)
+		case k >= kEdgeOp0 && k <= kEdgeOp0+uint8(BTNE-BEQ):
+			key, sense, ok := a.edgePred(BEQ+Op(k-kEdgeOp0), s)
 			if !ok {
 				out = append(out, u)
 				continue
@@ -528,8 +621,8 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 				if v == pass {
 					// The guard provably resolves to the hot direction:
 					// the edge can never fire.
-					elided[u.elem]++
-					res.elidedChecks++
+					sb.elems[u.elem].elided++
+					sb.elidedChecks++
 					continue
 				}
 				// Provably exits: keep the edge, learn nothing past it.
@@ -540,11 +633,11 @@ func elideUnits(units []sbUnit, sig *nsig, elided []uint16, res *sbOptResult) []
 			out = append(out, u)
 
 		case k == kEdgeJr || k == kEdgeJrL:
-			key := factKey{kind: fEQI, a: a.vn[s.rs1], imm: s.imm}
+			key := vnKey{op: fEQI, a: a.vn[s.rs1], imm: s.imm}
 			v, known := a.lookupFact(key)
 			if known && v {
-				elided[u.elem]++
-				res.elidedChecks++
+				sb.elems[u.elem].elided++
+				sb.elidedChecks++
 				if k == kEdgeJr {
 					continue // guard implied, nothing else to do
 				}
@@ -796,7 +889,7 @@ func fuseUnitMovRuns(units []sbUnit) []sbUnit {
 // only after the guard passes — a side exit leaves it to the per-block
 // path — which is only sound when no delay-slot steps sit between the
 // edge and the next body (slots run before the next element's body).
-func fuseEdgeUnits(units []sbUnit, elided []uint16, res *sbOptResult) []sbUnit {
+func fuseEdgeUnits(units []sbUnit) []sbUnit {
 	out := units[:0]
 	for i := 0; i < len(units); i++ {
 		u := units[i]

@@ -183,6 +183,9 @@ type Machine struct {
 	// superblock's exitBase (see superblock.go).
 	Native NativeStats
 	nctr   []uint64
+	// sbform is this machine's superblock formation scratch, allocated on
+	// its first formation (see superblock.go).
+	sbform *sbScratch
 }
 
 // NewMachine creates a machine with memWords words of zeroed memory.

@@ -62,13 +62,6 @@ const (
 	sbMaxReforms  = 4
 )
 
-// kEdge is the superblock edge pseudo-step: evaluate a conditional branch
-// and side-exit the stream when it resolves against the direction the
-// superblock was formed for. Field conventions: rd holds the branch Op,
-// rs1/rs2/tag/imm its operands, rd2 the superblock element index, rs3 is
-// nonzero when the hot direction is taken.
-const kEdge uint8 = 96
-
 // kEdgeJr is the superblock edge pseudo-step for an indirect jump:
 // side-exit the stream when the jump register does not hold the code
 // address the superblock was formed for. Field conventions: rs1 holds the
@@ -89,33 +82,31 @@ const kEdgeJrL uint8 = 98
 // have — a side exit re-runs the whole block on the ordinary path.
 const kEdgeJrA uint8 = 95
 
-// kEdgeOp0 starts the per-opcode edge kinds: kEdgeOp0 + (op - BEQ)
-// evaluates that branch directly, skipping kEdge's inner opcode switch on
-// the hottest dispatch in a superblock stream. Same field conventions as
-// kEdge.
+// kEdgeOp0 starts the superblock edge pseudo-steps for conditional
+// branches: kEdgeOp0 + (op - BEQ) evaluates that branch and side-exits the
+// stream when it resolves against the direction the superblock was formed
+// for. Field conventions: rd holds the branch Op, rs1/rs2/tag/imm its
+// operands, rd2 the superblock element index, rs3 is nonzero when the hot
+// direction is taken.
 const kEdgeOp0 uint8 = 99
 
 // kEdgeSrliBnei fuses the software tag-check idiom's tag extract into its
 // compare edge: rd ← rs1 >> imm (a body write of the edge's own element,
 // performed unconditionally, exactly as the separate srli step would),
 // then the bnei edge tests the extracted value against imm2. rd2/rs3 as
-// in kEdge.
+// in the kEdgeOp0 kinds.
 const kEdgeSrliBnei uint8 = 111
 
 // kEdgeBneiAnd fuses a bnei edge with the *next* element's leading and
 // (the untag that follows a passed software tag check): the guard runs
-// first — rs1/imm/rd2/rs3 as in kEdge — and only when it passes is
-// rd ← tag & rs2 performed, so a side exit leaves the next element's
-// state untouched for the per-block path.
+// first — rs1/imm/rd2/rs3 as in the kEdgeOp0 kinds — and only when it
+// passes is rd ← tag & rs2 performed, so a side exit leaves the next
+// element's state untouched for the per-block path.
 const kEdgeBneiAnd uint8 = 112
 
-// edgeKind picks the edge pseudo-step kind for a conditional branch.
-func edgeKind(op Op) uint8 {
-	if op >= BEQ && op <= BTNE {
-		return kEdgeOp0 + uint8(op-BEQ)
-	}
-	return kEdge
-}
+// edgeKind picks the edge pseudo-step kind for a conditional branch (an
+// op with IsCond, the only ops a termCond terminator holds).
+func edgeKind(op Op) uint8 { return kEdgeOp0 + uint8(op-BEQ) }
 
 // sbRetryAt reports whether a head's body count has just crossed the
 // formation threshold for attempt number a (0-based). Every retry point
@@ -222,6 +213,52 @@ func (m *Machine) hotOutcome(b *tblock) (o *outcome, hotTaken, hasDir bool) {
 	return nil, false, false
 }
 
+// sbWalked is one block on the path the formation walk follows.
+type sbWalked struct {
+	b        *tblock
+	o        *outcome
+	hotTaken bool
+	hasDir   bool
+	isJr     bool
+	jrTgt    int32
+	jrStall  bool
+}
+
+// sbScratch is one machine's formation working set: the walked path, the
+// call-structure stack, the flat unit stream and the dataflow analysis
+// state, reused by every formation the machine performs. A formation then
+// allocates only what the stream keeps (its sblock, steps and elems). The
+// scratch lives and dies with its machine: it is never shared — formation
+// runs under the program's tmu, but on the forming machine's goroutine —
+// and no program or process-wide cache holds it, so it pins no memory to
+// a cached image.
+type sbScratch struct {
+	path   []sbWalked
+	rstack []int32
+	units  []sbUnit
+	an     vnAn
+}
+
+// formScratch returns m's formation scratch, allocating it on m's first
+// formation (machines that never form a stream never pay for it).
+func (m *Machine) formScratch() *sbScratch {
+	if m.sbform == nil {
+		m.sbform = &sbScratch{}
+	}
+	return m.sbform
+}
+
+// appendBody appends b's body instructions to units as single-instruction
+// units of element elem.
+func appendBody(units []sbUnit, dec []decoded, b *tblock, elem int) []sbUnit {
+	for pc := int(b.start); pc < int(b.start)+int(b.bodyLen); pc++ {
+		if d := &dec[pc]; d.op != NOP {
+			units = append(units, sbUnit{s: singleStep(d, pc), elem: int32(elem)})
+		}
+	}
+	return units
+}
+
 // formSuperblock walks the hot path from head using m's counters, builds
 // the flat stream, and publishes it. Returns nil when no viable path
 // exists. Caller holds p.tmu.
@@ -236,16 +273,8 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		return nil
 	}
 
-	type walked struct {
-		b        *tblock
-		o        *outcome
-		hotTaken bool
-		hasDir   bool
-		isJr     bool
-		jrTgt    int32
-		jrStall  bool
-	}
-	var path []walked
+	sc := m.formScratch()
+	path := sc.path[:0]
 	// terminal is set when the walk stops at a block whose terminator
 	// direction it cannot predict (a balanced or cold conditional, an
 	// unguessable indirect jump, a syscall): the block still rides along
@@ -259,10 +288,10 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 	// guessed from the icache (returns are polymorphic across call sites,
 	// so the icache's promoted target would mispredict for every call
 	// site but the first).
-	var rstack []int32
+	rstack := sc.rstack[:0]
 	b := head
 	for len(path) < sbMaxElems {
-		var w walked
+		var w sbWalked
 		var npc int32
 		if t := &b.term; t.kind == termJumpInd {
 			var tgt int32 = -1
@@ -280,7 +309,7 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 				terminal = b
 				break
 			}
-			w = walked{b: b, o: &t.taken, hotTaken: true, hasDir: true,
+			w = sbWalked{b: b, o: &t.taken, hotTaken: true, hasDir: true,
 				isJr: true, jrTgt: tgt}
 			w.jrStall = !t.slotsNop && t.taken.s2wmask != 0 &&
 				uint(tgt) < uint(len(p.dec)) &&
@@ -292,7 +321,7 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 				terminal = b
 				break
 			}
-			w = walked{b: b, o: o, hotTaken: hotTaken, hasDir: hasDir}
+			w = sbWalked{b: b, o: o, hotTaken: hotTaken, hasDir: hasDir}
 			npc = o.nextPC
 		}
 		if b.term.link {
@@ -314,6 +343,7 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		// final partial pass leaves through an ordinary side exit.
 		b = nb
 	}
+	sc.path, sc.rstack = path, rstack
 	elemCount := len(path)
 	if terminal != nil {
 		elemCount++
@@ -322,24 +352,17 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		return nil
 	}
 
-	sb := &sblock{idx: int32(len(old))}
+	sb := &sblock{idx: int32(len(old)), elems: make([]sbElem, elemCount)}
 	dec := p.dec
-	var units []sbUnit
-	bodyUnits := func(b *tblock, elem int) {
-		for pc := int(b.start); pc < int(b.start)+int(b.bodyLen); pc++ {
-			if d := &dec[pc]; d.op != NOP {
-				units = append(units, sbUnit{s: singleStep(d, pc), elem: int32(elem)})
-			}
-		}
-	}
+	units := sc.units[:0]
 	var cyc, maxCyc uint64
 	for j, w := range path {
 		t := &w.b.term
-		e := sbElem{
+		sb.elems[j] = sbElem{
 			b: w.b, hotTaken: w.hotTaken, hasDir: w.hasDir,
 			jrTgt: w.jrTgt, jrStall: w.jrStall, cycBefore: cyc,
 		}
-		bodyUnits(w.b, j)
+		units = appendBody(units, dec, w.b, j)
 		switch t.kind {
 		case termCond:
 			hot := uint8(0)
@@ -378,7 +401,6 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 				}
 			}
 		}
-		sb.elems = append(sb.elems, e)
 		cyc += w.b.bodyCyc + w.o.cyc
 		worst := t.taken.cyc
 		if t.fall.cyc > worst {
@@ -392,32 +414,25 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		sb.nextPC = npcOf(w.o, w.isJr, w.jrTgt)
 	}
 	if terminal != nil {
-		sb.elems = append(sb.elems, sbElem{b: terminal, cycBefore: cyc})
-		bodyUnits(terminal, len(path))
+		sb.elems[len(path)] = sbElem{b: terminal, cycBefore: cyc}
+		units = appendBody(units, dec, terminal, len(path))
 		cyc += terminal.bodyCyc
 		maxCyc += terminal.bodyCyc
 		sb.termB = terminal
 	}
 	sb.fullCyc, sb.maxCyc = cyc, maxCyc
+	sc.units = units
 
 	// The dataflow pass: elision, cross-element refusion, edge fusion.
-	sopt := CurSBOpt()
-	opt := optimizeUnits(units, len(sb.elems), &np.sig, sopt)
-	sb.steps = opt.steps
-	sb.elidedChecks = opt.elidedChecks
-	sb.droppedSteps = opt.droppedSteps
-	sb.rawSteps = opt.rawUnits
-	for j := range sb.elems {
-		e := &sb.elems[j]
-		e.stepLo, e.slotLo, e.stepHi = opt.stepLo[j], opt.slotLo[j], opt.stepHi[j]
-		e.elided = opt.elided[j]
-	}
+	optimizeUnits(sb, units, &sc.an, &np.sig, CurSBOpt())
 	sb.exitBase = np.exitLen.Load()
 	np.exitLen.Store(sb.exitBase + int32(len(sb.elems)) + 1)
 
-	list := make([]*sblock, len(old)+1)
-	copy(list, old)
-	list[len(old)] = sb
+	// Publish by appending into the list's spare capacity: readers never
+	// index past the length they loaded, so the slot written here is
+	// invisible to every list already published, and the copy-on-write
+	// discipline holds without copying the whole list per formation.
+	list := append(old, sb)
 	np.sbs.Store(&list)
 	return sb
 }
@@ -453,15 +468,23 @@ func npcOf(o *outcome, isJr bool, jrTgt int32) int32 {
 }
 
 // growBctr returns the counter cell for block id, growing the per-machine
-// array (with headroom) when execution or expansion reaches a block past
-// its current size.
+// array (with headroom, at least doubling) when execution or expansion
+// reaches a block past its current size.
 func (m *Machine) growBctr(id int32) *blockCtr {
 	if int(id) >= len(m.bctr) {
-		grown := make([]blockCtr, int(id)+64)
+		grown := make([]blockCtr, grownLen(len(m.bctr), int(id)+1))
 		copy(grown, m.bctr)
 		m.bctr = grown
 	}
 	return &m.bctr[id]
+}
+
+// grownLen is the new length of a per-machine counter array of length n
+// that must hold need slots: need plus headroom, and at least double n, so
+// a program that keeps translating blocks or forming superblocks grows
+// its counters in amortized constant time.
+func grownLen(n, need int) int {
+	return max(need+63, 2*n)
 }
 
 // creditJrStall credits n occurrences of an indirect-jump element's
@@ -482,14 +505,14 @@ func (m *Machine) creditJrStall(e *sbElem, n uint64) {
 
 // markSBExit records one stream execution of sb that left at element j —
 // after fully executing elements [0, j) — growing the per-machine exit
-// counters (with headroom) when a superblock formed after this machine was
+// counters (with headroom, at least doubling) when a superblock formed after this machine was
 // created is counted for the first time. j == len(elems) marks a complete
 // run.
 func (m *Machine) markSBExit(sb *sblock, j int32) {
 	i := int(sb.exitBase) + int(j)
 	if i >= len(m.nctr) {
 		need := m.Prog.nat.Load().exitLen.Load()
-		grown := make([]uint64, int(need)+64)
+		grown := make([]uint64, grownLen(len(m.nctr), int(need)+1))
 		copy(grown, m.nctr)
 		m.nctr = grown
 	}
