@@ -43,9 +43,11 @@ BENCHTIME ?= 3x
 bench-compare:
 	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME)
 
-# CI bench smoke: a short BenchmarkEngine pass that fails if the translated
-# engine falls under 2.0x the reference engine or the native engine under
-# 1.5x the translated one (geomean over the programs).
+# CI bench smoke: a short BenchmarkEngine and BenchmarkCold pass that fails
+# if the translated engine falls under 2.0x the reference engine, the
+# native engine under 1.5x the translated one, or cold native (build, new
+# machine and one run per iteration) under 1.0x cold translated (geomean
+# over the programs).
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) run ./cmd/benchjson -smoke -out bench-smoke.txt

@@ -7,10 +7,11 @@
 // exists, the run also prints each engine's geometric-mean speedup over
 // the most recent archived baseline.
 //
-// With -smoke, it instead runs a short BenchmarkEngine pass and fails if
-// the translated engine falls under 2.0x the reference engine, or the
-// native engine under 1.5x the translated one (geometric mean over the
-// benchmark programs) — the CI guard against an engine regression.
+// With -smoke, it instead runs a short BenchmarkEngine and BenchmarkCold
+// pass and fails if the translated engine falls under 2.0x the reference
+// engine, the native engine under 1.5x the translated one, or cold native
+// under 1.0x cold translated (geometric means over the benchmark
+// programs) — the CI guard against an engine regression.
 package main
 
 import (
@@ -82,7 +83,7 @@ var engines = []string{"native", "translated", "reference"}
 var coldEngines = []string{"native", "translated"}
 
 func main() {
-	smoke := flag.Bool("smoke", false, "short BenchmarkEngine run; exit nonzero if translated is under 2.0x reference or native under 1.5x translated")
+	smoke := flag.Bool("smoke", false, "short BenchmarkEngine and BenchmarkCold run; exit nonzero if translated is under 2.0x reference, native under 1.5x translated, or cold native under 1.0x cold translated")
 	benchtime := flag.String("benchtime", "20x", "go test -benchtime for the archived run (iterations, not wall time: superblock formation and chain warmup amortize over iterations, and a 1x run measures mostly warmup)")
 	smoketime := flag.String("smoketime", "5x", "go test -benchtime for -smoke")
 	out := flag.String("out", "", "output path (default: BENCH_<n>.json for the lowest unused n; -smoke default: no file)")
@@ -164,54 +165,76 @@ func runArchive(benchtime, out, baseline string) error {
 	return nil
 }
 
-// runSmoke runs BenchmarkEngine once (all three engines' sub-benchmarks
-// share the pass) and fails if the engine ladder slips in geometric mean:
-// translated under 2.0x reference, or native under 1.5x translated. Both
-// floors sit below the archived measurements (BENCH_4: 2.55x and 1.84x;
-// every program's translated/reference ratio is at least 2.08x), and the
-// margin absorbs short-benchtime jitter. Individual programs jitter at
-// short benchtimes; the mean does not cross a floor unless an engine
-// actually regressed.
+// runSmoke runs BenchmarkEngine (all three engines' sub-benchmarks) and
+// BenchmarkCold in one go test pass and fails if the engine ladder slips
+// in geometric mean (smokeFloors).
 func runSmoke(benchtime, out string) error {
-	outBuf, err := runBench("^BenchmarkEngine$/^(native|translated|reference)$", benchtime, "")
+	outBuf, err := runBench("^(BenchmarkEngine|BenchmarkCold)$/^(native|translated|reference)$", benchtime, "")
 	if err != nil {
 		return err
 	}
-	byEngine := map[string]map[string]float64{}
-	for _, eng := range engines {
-		progs, err := parseBench(outBuf, "BenchmarkEngine/"+eng+"/")
-		if err != nil {
-			return fmt.Errorf("engine %s: %w", eng, err)
-		}
-		m := map[string]float64{}
-		for _, p := range progs {
-			m[p.Name] = p.MinstrS
-		}
-		byEngine[eng] = m
+	warm, err := minstrFrom(outBuf, "BenchmarkEngine/", engines)
+	if err != nil {
+		return err
+	}
+	cold, err := minstrFrom(outBuf, "BenchmarkCold/", coldEngines)
+	if err != nil {
+		return err
 	}
 	if out != "" {
 		if err := os.WriteFile(out, outBuf, 0o644); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("%-8s %12s %12s %12s %8s %8s\n", "program", "native", "translated", "reference", "na/tr", "tr/ref")
-	naTr := geomeanRatio(byEngine["native"], byEngine["translated"], func(name string, na, tr float64) {
-		ref := byEngine["reference"][name]
-		fmt.Printf("%-8s %9.1f M/s %9.1f M/s %9.1f M/s %7.2fx %7.2fx\n",
-			name, na, tr, ref, na/tr, tr/ref)
+	fmt.Printf("%-8s %12s %12s %12s %8s %8s %8s\n", "program", "native", "translated", "reference", "na/tr", "tr/ref", "cold n/t")
+	naTr := geomeanRatio(warm["native"], warm["translated"], func(name string, na, tr float64) {
+		ref := warm["reference"][name]
+		fmt.Printf("%-8s %9.1f M/s %9.1f M/s %9.1f M/s %7.2fx %7.2fx %7.2fx\n",
+			name, na, tr, ref, na/tr, tr/ref, ratio(cold["native"][name], cold["translated"][name]))
 	})
-	trRef := geomeanRatio(byEngine["translated"], byEngine["reference"], nil)
-	if naTr == 0 || trRef == 0 {
+	trRef := geomeanRatio(warm["translated"], warm["reference"], nil)
+	coldNaTr := geomeanRatio(cold["native"], cold["translated"], nil)
+	if naTr == 0 || trRef == 0 || coldNaTr == 0 {
 		return fmt.Errorf("no comparable benchmark lines:\n%s", outBuf)
 	}
-	fmt.Printf("geomean native/translated: %.2fx, translated/reference: %.2fx\n", naTr, trRef)
-	if trRef < 2.0 {
+	fmt.Printf("geomean native/translated: %.2fx, translated/reference: %.2fx, cold native/translated: %.2fx\n",
+		naTr, trRef, coldNaTr)
+	return smokeFloors(naTr, trRef, coldNaTr)
+}
+
+// smokeFloors is the smoke gate on the geometric means: warm translated
+// under 2.0x reference, warm native under 1.5x translated, or cold native
+// under 1.0x cold translated fails. The warm floors sit below the archived
+// measurements (BENCH_4: 2.55x and 1.84x; every program's
+// translated/reference ratio is at least 2.08x); the cold floor is the
+// point of the native engine, since every real run is cold (EXPERIMENTS.md
+// "Cold native: formation cost": 1.53x geomean). The margins absorb
+// short-benchtime jitter: individual programs jitter, the mean does not
+// cross a floor unless an engine actually regressed.
+func smokeFloors(naTr, trRef, coldNaTr float64) error {
+	switch {
+	case trRef < 2.0:
 		return fmt.Errorf("translated engine geomean %.2fx < 2.0x reference", trRef)
-	}
-	if naTr < 1.5 {
+	case naTr < 1.5:
 		return fmt.Errorf("native engine geomean %.2fx < 1.5x translated", naTr)
+	case coldNaTr < 1.0:
+		return fmt.Errorf("cold native engine geomean %.2fx < 1.0x cold translated", coldNaTr)
 	}
 	return nil
+}
+
+// minstrFrom parses the sub-benchmark lines of each engine under prefix
+// (prefix + engine + "/" + program) into Minstr/s by engine, then program.
+func minstrFrom(out []byte, prefix string, engs []string) (map[string]map[string]float64, error) {
+	var es []Engine
+	for _, eng := range engs {
+		progs, err := parseBench(out, prefix+eng+"/")
+		if err != nil {
+			return nil, fmt.Errorf("engine %s: %w", eng, err)
+		}
+		es = append(es, Engine{Name: eng, Programs: progs})
+	}
+	return minstrBy(es), nil
 }
 
 // geomeanRatio returns the geometric mean of num[name]/den[name] over the

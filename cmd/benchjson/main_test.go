@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,43 @@ func TestGeomeanRatio(t *testing.T) {
 	}
 	if got := geomeanRatio(nil, den, nil); got != 0 {
 		t.Fatalf("empty numerator: got %v, want 0", got)
+	}
+}
+
+// TestSmokeFloors pins the smoke gate: each geomean fails below its own
+// floor and only there, and the smoke output's two benchmarks parse into
+// the engine maps the gate reads.
+func TestSmokeFloors(t *testing.T) {
+	for _, tc := range []struct {
+		naTr, trRef, cold float64
+		fails             string
+	}{
+		{1.8, 2.5, 1.4, ""},
+		{1.5, 2.0, 1.0, ""},
+		{1.8, 1.9, 1.4, "reference"},
+		{1.4, 2.5, 1.4, "1.5x"},
+		{1.8, 2.5, 0.99, "cold"},
+	} {
+		err := smokeFloors(tc.naTr, tc.trRef, tc.cold)
+		if (err == nil) != (tc.fails == "") || err != nil && !strings.Contains(err.Error(), tc.fails) {
+			t.Errorf("smokeFloors(%v, %v, %v) = %v, want failure %q", tc.naTr, tc.trRef, tc.cold, err, tc.fails)
+		}
+	}
+	out := []byte(`BenchmarkEngine/native/boyer-2      5  100 ns/op  30.00 Minstr/s
+BenchmarkEngine/translated/boyer-2  5  150 ns/op  20.00 Minstr/s
+BenchmarkCold/native/boyer-2        5  200 ns/op  15.00 Minstr/s  1.5 form-ms/op
+BenchmarkCold/translated/boyer-2    5  300 ns/op  10.00 Minstr/s  0 form-ms/op
+PASS
+`)
+	cold, err := minstrFrom(out, "BenchmarkCold/", coldEngines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold["native"]["boyer"] != 15 || cold["translated"]["boyer"] != 10 {
+		t.Errorf("cold lines: %v", cold)
+	}
+	if _, err := minstrFrom(out, "BenchmarkEngine/", engines); err == nil {
+		t.Error("missing reference lines accepted")
 	}
 }
 

@@ -1,6 +1,9 @@
 package mipsx
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestSBExitSpillbackClamp pins the flush-time spill-back of superblock
 // exit-site counters when the counter array stops short of a superblock's
@@ -161,5 +164,73 @@ func TestNativeConfigMismatchRun(t *testing.T) {
 	if m.Regs[14] != ref.Regs[14] || pin.Regs[14] == m.Regs[14] {
 		t.Errorf("tag branch resolved alike under both configs (r14 %d / %d): the fixture no longer distinguishes them",
 			pin.Regs[14], m.Regs[14])
+	}
+}
+
+// TestMemtagRecolorInStream pins that a granule check inside a superblock
+// stream is never elided across a store: a hot loop under hardware memory
+// tagging checks granule G, stores a color to G's shadow word and checks
+// G again. The stored color is G's own on every pass but the last, which
+// frees G (color 0), so the second check faults there. The stream that
+// runs the loop must keep that check: native has to fault at the same pc
+// and cycle as translated and reference, from inside the stream.
+func TestMemtagRecolorInStream(t *testing.T) {
+	const (
+		log2N   = 10
+		passes  = 1 << log2N
+		data    = 0x100
+		shadowG = 0x2000 + data>>3<<2 // G's shadow word (granule shift 3)
+	)
+	a := NewAsm()
+	main := a.NewLabel("main")
+	loop := a.NewLabel("loop")
+	a.Bind(main)
+	a.Li(10, data)
+	a.Li(15, 1)
+	a.St(15, RZero, shadowG) // color G
+	a.Li(13, 0)
+	a.Bind(loop)
+	a.Ldm(14, 10, 0, 0) // check G
+	// r16 = 1 on passes 0..passes-2, 0 on the last: (r13+1)>>log2N is 1
+	// only when r13+1 == passes.
+	a.Addi(16, 13, 1)
+	a.Srli(16, 16, log2N)
+	a.Xori(16, 16, 1)
+	a.St(16, RZero, shadowG) // recolor G: unchanged, then freed
+	a.Ldm(17, 10, 0, 0)      // check G again
+	a.Addi(13, 13, 1)
+	a.Blti(13, passes, loop)
+	a.Halt()
+	p, err := a.Finish("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := HWConfig{TrapHandler: -1, CheckFailHandler: -1, MemtagFailHandler: -1,
+		MemtagBase: 0x2000, MemtagShift: 3, MemtagLimit: 0x2000}
+
+	ref := NewMachine(p, 4096, hw)
+	ref.MaxCycles = 10_000_000
+	rerr := ref.RunReference()
+	if rerr == nil || !strings.Contains(rerr.Error(), "memtag granule check failed") {
+		t.Fatalf("reference run: %v, want a granule fault", rerr)
+	}
+	if ref.Regs[13] != passes-1 || p.Instrs[ref.PC].Op != LDM || ref.Regs[17] != 0 {
+		t.Fatalf("reference faulted at pc %d on pass %d, want the second check on the last pass", ref.PC, ref.Regs[13])
+	}
+	for _, e := range []Engine{EngineTranslated, EngineNative} {
+		m := NewMachine(p, 4096, hw)
+		m.MaxCycles = 10_000_000
+		err := m.RunEngine(e)
+		if err == nil || err.Error() != rerr.Error() {
+			t.Errorf("%v: error %v, reference %v", e, err, rerr)
+		}
+		if m.PC != ref.PC || m.Stats != ref.Stats || m.Regs != ref.Regs {
+			t.Errorf("%v faulted at pc %d, cycle %d; reference at pc %d, cycle %d",
+				e, m.PC, m.Stats.Cycles, ref.PC, ref.Stats.Cycles)
+		}
+		if e == EngineNative && (m.Native.SBRuns < passes/2 || m.Native.SBSideExits != 1) {
+			t.Errorf("native ran %d streams with %d exits, want the loop in a stream left once, by the fault",
+				m.Native.SBRuns, m.Native.SBSideExits)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package mipsx
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // formingProgram assembles a program that forms and re-forms superblock
 // streams: loops sequential loops, each iterated iters times. A loop's
@@ -140,5 +143,94 @@ func TestNativeSharedCache(t *testing.T) {
 	}
 	if sbRuns == 0 {
 		t.Error("no machine ran a superblock stream")
+	}
+}
+
+// loopProgram assembles one counted loop of iters passes whose body is
+// one block (it branches to itself) or two (a never-taken exit branch
+// splits it), and returns the program with the loop head's pc.
+func loopProgram(t testing.TB, blocks int, iters int32) (*Program, int) {
+	t.Helper()
+	a := NewAsm()
+	main := a.NewLabel("main")
+	loop := a.NewLabel("loop")
+	out := a.NewLabel("out")
+	a.Bind(main)
+	a.Li(12, 0)
+	a.Li(13, 0)
+	a.Li(14, 0)
+	a.Bind(loop)
+	a.Addi(13, 13, 1)
+	if blocks == 2 {
+		a.Bnei(12, 0, out)
+	}
+	a.Addi(14, 14, 3)
+	a.Blti(13, iters, loop)
+	a.Bind(out)
+	a.Halt()
+	p, err := a.Finish("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, p.Labels["loop"]
+}
+
+// TestLoopStreams pins the loop policy of superblock formation: a loop
+// forms exactly one stream, anchored at its head and covering one pass,
+// which runs pass after pass. A one-block loop gets its stream too, though
+// a single block is otherwise too short to form one. On the warm program a
+// second machine runs that stream and forms nothing, and no block is ever
+// retried: a formation that kept failing, or a loop block that formed a
+// rotated copy of the stream, would show as a second attempt.
+func TestLoopStreams(t *testing.T) {
+	for _, blocks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-block", blocks), func(t *testing.T) {
+			const iters = 5000
+			p, head := loopProgram(t, blocks, iters)
+			for run, formed := range []uint64{1, 0} {
+				m := NewMachine(p, 64, formingHW)
+				m.MaxCycles = 10_000_000
+				if err := m.RunNative(); err != nil {
+					t.Fatal(err)
+				}
+				if m.Regs[13] != iters || m.Regs[14] != 3*iters {
+					t.Fatalf("run %d: loop ran %d passes, want %d", run, m.Regs[13], iters)
+				}
+				if m.Native.SuperBlocks != formed || m.Native.SBRuns == 0 {
+					t.Errorf("run %d formed %d streams and ran %d, want %d formed and some run",
+						run, m.Native.SuperBlocks, m.Native.SBRuns, formed)
+				}
+			}
+			var sbs []*sblock
+			if lp := p.nat.Load().sbs.Load(); lp != nil {
+				sbs = *lp
+			}
+			if len(sbs) != 1 {
+				t.Fatalf("program holds %d streams, want 1", len(sbs))
+			}
+			// The anchor is the loop block that crossed the threshold first,
+			// not necessarily the head: the pass the program falls into runs
+			// the head inside the block before it.
+			sb := sbs[0]
+			covers := false // some element is the loop head's block
+			for _, e := range sb.elems {
+				covers = covers || int(e.b.start) == head
+			}
+			if len(sb.elems) != blocks || sb.nextPC != sb.elems[0].b.start || !covers {
+				t.Errorf("stream of %d elements from pc %d continuing at %d, want %d elements, one at pc %d, and back to the anchor",
+					len(sb.elems), sb.elems[0].b.start, sb.nextPC, blocks, head)
+			}
+			seen := map[*tblock]bool{}
+			var tries int32
+			for i := range p.tblocks {
+				if b := p.tblocks[i].Load(); b != nil && !seen[b] {
+					seen[b] = true
+					tries += b.sbTried.Load()
+				}
+			}
+			if tries != 1 {
+				t.Errorf("%d formation attempts, want 1", tries)
+			}
+		})
 	}
 }

@@ -45,7 +45,8 @@ const (
 	// running per-block — so attempts are never exhausted, only spaced out.
 	sbRetrySlow = 4096
 	// sbMaxElems bounds a superblock's length; sbMinElems rejects degenerate
-	// single-block "paths" not worth the stream overhead.
+	// single-block "paths" not worth the stream overhead (a block that loops
+	// to itself is exempt: its stream runs the loop).
 	sbMaxElems = 256
 	sbMinElems = 2
 	// sbMinDirSamples is the evidence needed before a conditional branch's
@@ -289,7 +290,12 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 	// so the icache's promoted target would mispredict for every call
 	// site but the first).
 	rstack := sc.rstack[:0]
+	// closed is set when the walk stops at a block already on its path:
+	// the stream covers one pass of the loop and its complete run
+	// continues at that block.
+	var closed bool
 	b := head
+walk:
 	for len(path) < sbMaxElems {
 		var w sbWalked
 		var npc int32
@@ -335,12 +341,18 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 		if nb == nil {
 			break
 		}
-		// Revisited blocks are allowed: a path that closes into a loop
-		// keeps walking around it, unrolling the loop into the stream up
-		// to the element cap. A full run of an unrolled loop covers
-		// several iterations with one counter bump, and the iteration
-		// count never divides the unroll factor evenly for free — the
-		// final partial pass leaves through an ordinary side exit.
+		// A path that reaches a block it already holds has closed a loop
+		// (or re-entered a function it called before): it ends there, so
+		// a loop's stream covers one pass and a complete run re-enters it
+		// from the block loop's top. Unrolling the loop up to the element
+		// cap made formation, which every cold run pays, several times
+		// dearer for no measured warm gain (DESIGN.md §12).
+		for i := range path {
+			if path[i].b == nb {
+				closed = true
+				break walk
+			}
+		}
 		b = nb
 	}
 	sc.path, sc.rstack = path, rstack
@@ -348,7 +360,9 @@ func (p *Program) formSuperblock(m *Machine, head *tblock, np *nativeProg) *sblo
 	if terminal != nil {
 		elemCount++
 	}
-	if elemCount < sbMinElems {
+	// A one-block loop is a stream of its own; any other single block is
+	// not worth the stream overhead.
+	if elemCount < sbMinElems && !closed {
 		return nil
 	}
 

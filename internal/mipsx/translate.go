@@ -333,6 +333,14 @@ loop:
 				}
 			} else if (bc.body+1)%sbHotThreshold == 0 {
 				m.formSuperblockAt(b, bc.body+1, br.np)
+				if b.sb.Load() != nil {
+					// A stream formed here runs at once, from the loop
+					// top: b's body does not run per-block again, so the
+					// blocks after it on the stream's path (a loop's other
+					// blocks) never cross the threshold themselves and
+					// form no rotated copies of the stream.
+					continue loop
+				}
 			}
 			br.slowRuns++
 		}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -118,7 +117,7 @@ func New(o Options) *Server {
 		o.Runner.CacheCap = o.CacheCap
 	}
 	if o.Log == nil {
-		o.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Log = slog.New(discardHandler{})
 	}
 	s := &Server{
 		opts:     o,
@@ -311,3 +310,13 @@ func (s *Server) acquire(ctx context.Context) error {
 }
 
 func (s *Server) releaseSlot() { <-s.sem }
+
+// discardHandler is the default request logger's handler: disabled at every
+// level, so a request formats no log line at all. (slog.DiscardHandler needs
+// Go 1.24; the module targets 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }

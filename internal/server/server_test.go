@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -477,5 +479,20 @@ func TestRunBodyMemo(t *testing.T) {
 				t.Errorf("round %d, source %q: body\n%s\nwant\n%s", round, src, got, want)
 			}
 		}
+	}
+}
+
+// TestDefaultLoggerDisabled pins that a server built without Options.Log
+// logs nothing: its logger is disabled at Info, the level of the request
+// line, so no request pays for formatting a line nobody reads.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	s := New(Options{})
+	for _, l := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelError} {
+		if s.log.Enabled(context.Background(), l) {
+			t.Errorf("default logger enabled at %v", l)
+		}
+	}
+	if h := s.log.With("k", 1).WithGroup("g").Handler(); h.Enabled(context.Background(), slog.LevelInfo) {
+		t.Error("derived default logger enabled at Info")
 	}
 }

@@ -194,12 +194,17 @@ func (r *Reader) atom() (Value, error) {
 	if tok == "" {
 		return nil, r.errf("empty token")
 	}
-	if n, err := strconv.ParseInt(tok, 10, 64); err == nil &&
-		(tok[0] == '-' && len(tok) > 1 || tok[0] >= '0' && tok[0] <= '9') {
-		return Int(n), nil
+	// Only a token that starts like a number is parsed as one: ParseInt
+	// allocates its error, and most tokens are symbols.
+	if isDigit(tok[0]) || tok[0] == '-' && len(tok) > 1 && isDigit(tok[1]) {
+		if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			return Int(n), nil
+		}
 	}
 	if tok == "nil" {
 		return nil, nil
 	}
 	return r.in.Intern(tok), nil
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }

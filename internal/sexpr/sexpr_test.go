@@ -44,6 +44,36 @@ func TestReadAtom(t *testing.T) {
 	}
 }
 
+// TestReadNumberClassification pins which tokens read as integers: only a
+// token that starts with a digit, or with '-' and a digit, and parses as
+// an int64 in full. Everything else, an overflow included, is a symbol.
+func TestReadNumberClassification(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		isInt bool
+		want  string
+	}{
+		{"-", false, "-"},
+		{"-x", false, "-x"},
+		{"-5x", false, "-5x"},
+		{"+5", false, "+5"},
+		{"007", true, "7"},
+		{"1x", false, "1x"},
+		{"-12", true, "-12"},
+		{"--5", false, "--5"},
+		{"9223372036854775807", true, "9223372036854775807"},
+		{"9223372036854775808", false, "9223372036854775808"},
+		{"-9223372036854775809", false, "-9223372036854775809"},
+	} {
+		v := read1(t, tc.src)
+		_, isInt := v.(Int)
+		_, isSym := v.(*Sym)
+		if isInt != tc.isInt || isInt == isSym || String(v) != tc.want {
+			t.Errorf("read %q = %T %s, want int=%v %s", tc.src, v, String(v), tc.isInt, tc.want)
+		}
+	}
+}
+
 func TestReadAll(t *testing.T) {
 	r := NewReader(NewInterner(), "(a) (b) 3")
 	vs, err := r.ReadAll()
