@@ -232,8 +232,8 @@ func benchPrograms(b *testing.B, engine mipsx.Engine) {
 
 // BenchmarkPrograms measures raw simulation throughput per program on the
 // baseline configuration (a property of this reproduction, not the paper).
-// Set SIM_ENGINE=native or SIM_ENGINE=reference to measure those engines
-// instead of the default basic-block translator.
+// Without SIM_ENGINE it measures the default engine, native; set
+// SIM_ENGINE=translated or SIM_ENGINE=reference to measure those instead.
 func BenchmarkPrograms(b *testing.B) {
 	engine, err := mipsx.ParseEngine(os.Getenv("SIM_ENGINE"))
 	if err != nil {

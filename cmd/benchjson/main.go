@@ -76,7 +76,7 @@ type Program struct {
 
 // engines lists the selector spellings passed through SIM_ENGINE. The
 // names are explicit (never "") because the empty selector means the
-// default engine, which would silently re-measure translated twice.
+// default engine, which would silently re-measure native twice.
 var engines = []string{"native", "translated", "reference"}
 
 // coldEngines are BenchmarkCold's sub-benchmarks: the two fast engines.

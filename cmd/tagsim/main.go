@@ -85,7 +85,7 @@ func main() {
 	flag.BoolVar(&o.repl, "repl", false, "interactive read-eval-print loop on the simulated machine")
 	flag.StringVar(&o.t2row, "table2-row", "", "per-program detail for one Table 2 row (1-7 or SPUR)")
 	flag.IntVar(&o.workers, "workers", 0, "parallel simulations in table/figure sweeps (default: one per CPU, GOMAXPROCS)")
-	flag.StringVar(&o.engine, "engine", "", "simulator engine: translated (default), native, reference; -trace-out, -flame and -events-out always run reference")
+	flag.StringVar(&o.engine, "engine", "", "simulator engine: native (default), translated, reference; -trace-out, -flame and -events-out always run reference")
 	flag.BoolVar(&o.json, "json", false, "emit machine-readable JSON (schema "+core.SchemaVersion+") instead of text")
 	flag.StringVar(&o.traceOut, "trace-out", "", "with -program: write a Chrome trace_event timeline (chrome://tracing) to this file")
 	flag.StringVar(&o.flame, "flame", "", "with -program: write folded call stacks (flamegraph input) to this file")
@@ -375,10 +375,7 @@ func runOne(name string, cfg core.Config, engine mipsx.Engine, o options) error 
 	// Only the reference engine emits events, so a run with any observer
 	// attached (-trace-out, -flame, -events-out) executes there whatever
 	// -engine asked for, and the reports name the engine that ran.
-	ranEngine := engine
-	if m.Obs != nil {
-		ranEngine = mipsx.EngineReference
-	}
+	ranEngine := m.Executes(engine)
 	execStart := time.Now()
 	runErr := m.RunEngine(ranEngine)
 	if tl != nil {
@@ -436,6 +433,7 @@ func runOne(name string, cfg core.Config, engine mipsx.Engine, o options) error 
 		Units:   img.Units,
 		Value:   value,
 		Output:  m.Output.String(),
+		Engine:  ranEngine,
 	}
 	rep := core.NewRunReport(p, cfg, res)
 	rep.Engine = &core.EngineReport{

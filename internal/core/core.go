@@ -79,6 +79,10 @@ type Result struct {
 	Units   map[string]lispc.UnitStats
 	Value   string
 	Output  string
+	// Engine is the engine that executed the run: the one requested, or
+	// the reference engine when an attached Observer forced the fallback.
+	// A cached replay reports the engine of the run that filled the cache.
+	Engine mipsx.Engine
 	// Phases is the timeline of the run that produced this result:
 	// parse/compile (image-cache misses only), new-machine, execute, the
 	// JIT phases carved out of execute, and stats-flush. Cached replays
@@ -115,7 +119,7 @@ type Runner struct {
 	// runtimes holds the compiled sys + lib units per key (runtimeFor).
 	runtimes map[rt.RuntimeKey]*rt.Runtime
 	// Engine selects the simulator engine for uncached runs. The zero
-	// value is mipsx.EngineTranslated (the fastest engine); every engine
+	// value is mipsx.EngineNative, the default engine; every engine
 	// produces bit-identical results, so switching engines never
 	// invalidates cached results.
 	Engine mipsx.Engine
@@ -148,10 +152,10 @@ type cacheEntry struct {
 }
 
 // imgEntry is one image-cache LRU slot. The image holds the compiled
-// program, and through it the shared predecoded instruction stream and
-// translated-block cache, so sharing it across runs of the same
-// (program, config) means compilation, predecoding, and block
-// translation each happen once per key rather than once per run. The
+// program, and through it the shared translated-block cache and
+// superblock streams, so sharing it across runs of the same
+// (program, config) means compilation, block translation and superblock
+// formation each happen once per key rather than once per run. The
 // entry also accumulates the engine counters of every uncached run of
 // the key, so /v1/introspect can report chain and inline-cache hit
 // rates alongside the image's translation state.
@@ -421,6 +425,7 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		m.Obs = r.Observe(p, cfg)
 	}
 	r.Metrics.Add("runs_engine_total/"+engine.String(), 1)
+	executed := m.Executes(engine)
 	jt0, jn0 := img.Prog.JITTimes()
 	execStart := time.Now()
 	runErr := m.RunEngine(engine)
@@ -453,6 +458,7 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		Units:   img.Units,
 		Value:   value,
 		Output:  m.Output.String(),
+		Engine:  executed,
 	}
 	r.Metrics.RecordRun(p.Name, cfg.String(), &m.Stats)
 	r.Metrics.RecordTrans(&m.Trans)

@@ -53,6 +53,9 @@ type RunReport struct {
 	Categories  []CatCycles `json:"categories"`
 	RTCheckCost []CatCycles `json:"rt_check_cost,omitempty"`
 	Error       *RunError   `json:"error,omitempty"`
+	// EngineExecuted names the engine that ran the simulation (see
+	// Result.Engine).
+	EngineExecuted string `json:"engine_executed"`
 	// Engine, when present, carries the executing engine's per-run
 	// dispatch counters and the program's JIT-cache introspection — the
 	// same superblock/fusion/elision numbers /v1/introspect serves, so a
@@ -90,6 +93,8 @@ func NewRunReport(p *programs.Program, cfg Config, res *Result) *RunReport {
 		GCs:         s.GCs,
 		GCWords:     s.GCWords,
 		TagPct:      mipsx.Pct(s.TagCycles(), s.Cycles),
+
+		EngineExecuted: res.Engine.String(),
 	}
 	for c := mipsx.CatWork; c < mipsx.NumCat; c++ {
 		if s.ByCat[c] == 0 {

@@ -422,7 +422,7 @@ func (f *fnc) rawBranch(op string, r1, r2 uint8, branchWhen bool, target mipsx.L
 	if !branchWhen {
 		o = b.neg
 	}
-	f.a.Raw(mipsx.Instr{Op: o, Rs1: r1, Rs2: r2, Target: int(target)})
+	f.a.Raw(mipsx.Instr{Op: o, Rs1: r1, Rs2: r2, Target: int32(target)})
 }
 
 // emitHeapPtrTest branches when the item is (or is not) a heap pointer that

@@ -97,7 +97,7 @@ func (a *Asm) Bind(l Label) {
 		panic(fmt.Sprintf("label %q bound twice", a.labelNames[l]))
 	}
 	a.labelBound[l] = true
-	a.instrs = append(a.instrs, Instr{Op: LABEL, Target: int(l)})
+	a.instrs = append(a.instrs, Instr{Op: LABEL, Target: int32(l)})
 }
 
 // Len returns the number of instructions emitted so far (including pseudo
@@ -271,52 +271,52 @@ func (a *Asm) Subtc(rd, rs1, rs2 uint8) *Instr {
 
 // Beq branches to l if rs1 == rs2.
 func (a *Asm) Beq(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BEQ, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BEQ, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Bne branches to l if rs1 != rs2.
 func (a *Asm) Bne(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BNE, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BNE, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Blt branches to l if rs1 < rs2 (signed).
 func (a *Asm) Blt(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BLT, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BLT, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Bge branches to l if rs1 >= rs2 (signed).
 func (a *Asm) Bge(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BGE, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BGE, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Ble branches to l if rs1 <= rs2 (signed).
 func (a *Asm) Ble(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BLE, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BLE, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Bgt branches to l if rs1 > rs2 (signed).
 func (a *Asm) Bgt(rs1, rs2 uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BGT, Rs1: rs1, Rs2: rs2, Target: int(l)})
+	return a.emit(Instr{Op: BGT, Rs1: rs1, Rs2: rs2, Target: int32(l)})
 }
 
 // Beqi branches to l if rs1 == imm.
 func (a *Asm) Beqi(rs1 uint8, imm int32, l Label) *Instr {
-	return a.emit(Instr{Op: BEQI, Rs1: rs1, Imm: imm, Target: int(l)})
+	return a.emit(Instr{Op: BEQI, Rs1: rs1, Imm: imm, Target: int32(l)})
 }
 
 // Bnei branches to l if rs1 != imm.
 func (a *Asm) Bnei(rs1 uint8, imm int32, l Label) *Instr {
-	return a.emit(Instr{Op: BNEI, Rs1: rs1, Imm: imm, Target: int(l)})
+	return a.emit(Instr{Op: BNEI, Rs1: rs1, Imm: imm, Target: int32(l)})
 }
 
 // Blti branches to l if rs1 < imm (signed).
 func (a *Asm) Blti(rs1 uint8, imm int32, l Label) *Instr {
-	return a.emit(Instr{Op: BLTI, Rs1: rs1, Imm: imm, Target: int(l)})
+	return a.emit(Instr{Op: BLTI, Rs1: rs1, Imm: imm, Target: int32(l)})
 }
 
 // Bgei branches to l if rs1 >= imm (signed).
 func (a *Asm) Bgei(rs1 uint8, imm int32, l Label) *Instr {
-	return a.emit(Instr{Op: BGEI, Rs1: rs1, Imm: imm, Target: int(l)})
+	return a.emit(Instr{Op: BGEI, Rs1: rs1, Imm: imm, Target: int32(l)})
 }
 
 // Fadd emits rd = rs1 + rs2 (IEEE single, raw bits in registers).
@@ -357,19 +357,19 @@ func (a *Asm) Ftoi(rd, rs1 uint8) *Instr { return a.emit(Instr{Op: FTOI, Rd: rd,
 
 // Bteq branches to l if the tag field of rs equals tag.
 func (a *Asm) Bteq(rs, tag uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BTEQ, Rs1: rs, Tag: tag, Target: int(l)})
+	return a.emit(Instr{Op: BTEQ, Rs1: rs, Tag: tag, Target: int32(l)})
 }
 
 // Btne branches to l if the tag field of rs differs from tag.
 func (a *Asm) Btne(rs, tag uint8, l Label) *Instr {
-	return a.emit(Instr{Op: BTNE, Rs1: rs, Tag: tag, Target: int(l)})
+	return a.emit(Instr{Op: BTNE, Rs1: rs, Tag: tag, Target: int32(l)})
 }
 
 // Jmp jumps to l.
-func (a *Asm) Jmp(l Label) *Instr { return a.emit(Instr{Op: JMP, Target: int(l)}) }
+func (a *Asm) Jmp(l Label) *Instr { return a.emit(Instr{Op: JMP, Target: int32(l)}) }
 
 // Jal calls l, linking through R31.
-func (a *Asm) Jal(l Label) *Instr { return a.emit(Instr{Op: JAL, Target: int(l)}) }
+func (a *Asm) Jal(l Label) *Instr { return a.emit(Instr{Op: JAL, Target: int32(l)}) }
 
 // Jalr calls through rs, linking through R31.
 func (a *Asm) Jalr(rs uint8) *Instr { return a.emit(Instr{Op: JALR, Rs1: rs}) }
@@ -385,24 +385,21 @@ func (a *Asm) Halt() *Instr { return a.emit(Instr{Op: HALT}) }
 
 // Program is a resolved instruction stream ready to execute.
 type Program struct {
+	// Instrs is the program's only instruction array: the block engines
+	// decode from it as they translate and account, so it must not be
+	// mutated after execution starts.
 	Instrs []Instr
 	Entry  int
 	// Labels maps label names to instruction indices (for disassembly,
 	// tracing and locating runtime entry points).
 	Labels map[string]int
 
-	// Predecoded stream for the block engines, built once on first
-	// use (see predecode.go). Instrs must not be mutated after execution
-	// starts.
-	predecodeOnce sync.Once
-	dec           []decoded
-
 	// Translated-block cache for the block engine (see blocks.go), shared
 	// by every Machine running this program: tblocks[pc] is the block with
 	// leader pc, translated lazily under tmu and published atomically.
 	// blist indexes the same blocks densely by their id, so per-machine
-	// execution counters can be small arrays instead of per-pc ones; it is
-	// replaced wholesale (copy-on-write under tmu) when a block is added.
+	// execution counters can be small arrays instead of per-pc ones; a
+	// block is added under tmu by appending and storing a new header.
 	tonce   sync.Once
 	tmu     sync.Mutex
 	tblocks []atomic.Pointer[tblock]
@@ -438,9 +435,16 @@ func (a *Asm) Finish(entry string) (*Program, error) {
 	}
 	scheduled := schedule(a.instrs)
 
-	// Strip LABEL pseudo-instructions and record positions.
+	// Strip LABEL pseudo-instructions and record positions. The array is
+	// sized to the real instructions: it is kept for the image's life.
+	n := 0
+	for i := range scheduled {
+		if scheduled[i].Op != LABEL {
+			n++
+		}
+	}
 	labelPos := make([]int, len(a.labelNames))
-	out := make([]Instr, 0, len(scheduled))
+	out := make([]Instr, 0, n)
 	for _, in := range scheduled {
 		if in.Op == LABEL {
 			labelPos[in.Target] = len(out)
@@ -451,7 +455,7 @@ func (a *Asm) Finish(entry string) (*Program, error) {
 	// Resolve branch targets.
 	for i := range out {
 		if out[i].Op.IsControl() && out[i].Op != JALR && out[i].Op != JR {
-			out[i].Target = labelPos[out[i].Target]
+			out[i].Target = int32(labelPos[out[i].Target])
 		}
 	}
 	fillSquashSlots(out)
@@ -475,7 +479,7 @@ func (a *Asm) Finish(entry string) (*Program, error) {
 func (a *Asm) MarkSquash(from int, l Label) {
 	for i := from; i < len(a.instrs); i++ {
 		in := &a.instrs[i]
-		if in.Op.IsCond() && in.Target == int(l) {
+		if in.Op.IsCond() && in.Target == int32(l) {
 			in.Squash = true
 		}
 	}

@@ -3,7 +3,7 @@ package mipsx
 // Basic-block translation (the discovery/translation half of the block
 // engine; the execution loop lives in translate.go).
 //
-// A translated block covers one straight-line run of the predecoded
+// A translated block covers one straight-line run of the instruction
 // stream: a body of non-control instructions followed by a terminator (a
 // branch or jump with its two delay slots, a SYS, a HALT, or a plain fall
 // into the next block when the body cap is reached). Blocks are discovered
@@ -14,7 +14,7 @@ package mipsx
 // engine gives it.
 //
 // The body's accounting is fully static. Cycle costs come from the
-// predecoded stream, and the load-delay interlock is a register-number
+// opcodes, and the load-delay interlock is a register-number
 // comparison between a load and its textual successor, so body cycles and
 // stall attribution are computed once at translation time and one block
 // execution charges them with two additions. Delay-slot accounting is
@@ -173,8 +173,8 @@ type tterm struct {
 	imm      int32
 	pc       int32 // source pc of the terminator (termFall: first pc past the block)
 	target   int32
-	slot1    *decoded
-	slot2    *decoded
+	slot1    *Instr
+	slot2    *Instr
 	// The delay slots precompiled into dispatch steps (never fused, so a
 	// slot fault attributes to the right source pc), executed by the same
 	// dispatch loop as block bodies. Valid for termCond/termJump/termJumpInd
@@ -208,7 +208,8 @@ type icacheEnt struct {
 type tblock struct {
 	id         int32
 	start      int32
-	bodyLen    int32 // source instructions covered by the body
+	bodyLen    int32  // source instructions covered by the body
+	leadReads  uint32 // registers the leader reads: an indirect jump's slot-2 load stalls on them
 	bodyCyc    uint64
 	fusedN     uint64
 	steps      []tstep
@@ -235,8 +236,7 @@ type blockCtr struct {
 // initTranslation prepares the program's block cache.
 func (p *Program) initTranslation() {
 	p.tonce.Do(func() {
-		p.predecode()
-		p.tblocks = make([]atomic.Pointer[tblock], len(p.dec))
+		p.tblocks = make([]atomic.Pointer[tblock], len(p.Instrs))
 	})
 }
 
@@ -263,9 +263,11 @@ func (p *Program) blockAt(pc int) (*tblock, bool) {
 		old = *lp
 	}
 	b.id = int32(len(old))
-	list := make([]*tblock, len(old)+1)
-	copy(list, old)
-	list[len(old)] = b
+	// Publish by appending into the list's spare capacity, as formed
+	// superblocks are: readers never index past the length they loaded,
+	// so no published list changes, and adding a block does not copy the
+	// whole list (quadratic in the blocks a run translates).
+	list := append(old, b)
 	p.blist.Store(&list)
 	p.tblocks[pc].Store(b)
 	return b, true
@@ -273,11 +275,11 @@ func (p *Program) blockAt(pc int) (*tblock, bool) {
 
 // translate builds the block with leader pc.
 func (p *Program) translate(start int) *tblock {
-	dec := p.dec
-	b := &tblock{start: int32(start)}
+	ins := p.Instrs
+	b := &tblock{start: int32(start), leadReads: ins[start].readMask()}
 	i := start
-	for i < len(dec) && i-start < bodyCap {
-		op := dec[i].op
+	for i < len(ins) && i-start < bodyCap {
+		op := ins[i].Op
 		if op.IsControl() || op == SYS || op == HALT {
 			break
 		}
@@ -285,14 +287,14 @@ func (p *Program) translate(start int) *tblock {
 	}
 	b.bodyLen = int32(i - start)
 	for j := start; j < i; j++ {
-		d := &dec[j]
-		b.bodyCyc += uint64(d.cycles)
-		if d.op.IsLoad() && j+1 < len(dec) && dec[j+1].readMask&d.wmask != 0 {
+		in := &ins[j]
+		b.bodyCyc += in.Op.Cycles()
+		if j+1 < len(ins) && in.stallsBefore(&ins[j+1]) {
 			b.bodyCyc++
-			b.bodyStalls = append(b.bodyStalls, stallRec{d.cat, d.sub, d.rtCheck})
+			b.bodyStalls = append(b.bodyStalls, stallRec{in.Cat, in.Sub, in.RTCheck})
 		}
 	}
-	b.steps = fuseSteps(dec, start, i)
+	b.steps = fuseSteps(ins, start, i)
 	for k := range b.steps {
 		if b.steps[k].n >= 2 {
 			b.fusedN++
@@ -317,14 +319,14 @@ func zdst(x uint8) uint8 {
 // ADDTC/SUBTC repurpose the (otherwise unused) tag field to carry the
 // original destination register number for the trap mailbox, since rd has
 // been through the zero-destination remap.
-func singleStep(d *decoded, pc int) tstep {
+func singleStep(in *Instr, pc int) tstep {
 	s := tstep{
-		kind: uint8(d.op), n: 1,
-		rd: zdst(d.rd), rs1: d.rs1 & 31, rs2: d.rs2 & 31,
-		tag: d.tag, imm: d.imm, off: int32(pc),
+		kind: uint8(in.Op), n: 1,
+		rd: zdst(in.Rd), rs1: in.Rs1 & 31, rs2: in.Rs2 & 31,
+		tag: in.Tag, imm: in.Imm, off: int32(pc),
 	}
-	if d.op == ADDTC || d.op == SUBTC {
-		s.tag = d.rd & 31
+	if in.Op == ADDTC || in.Op == SUBTC {
+		s.tag = in.Rd & 31
 	}
 	return s
 }
@@ -334,21 +336,21 @@ func singleStep(d *decoded, pc int) tstep {
 // dispatch), then recognized idiom pairs, then singles. Trailing NOPs are
 // swallowed into whichever step precedes them — they have no effect, so
 // the step's n simply covers them and dispatch skips them entirely.
-func fuseSteps(dec []decoded, start, end int) []tstep {
+func fuseSteps(ins []Instr, start, end int) []tstep {
 	steps := make([]tstep, 0, end-start)
 	for i := start; i < end; {
 		var s tstep
-		if n := memRunLen(dec, i, end); n >= 3 {
-			s = memRunStep(dec, i, n)
+		if n := memRunLen(ins, i, end); n >= 3 {
+			s = memRunStep(ins, i, n)
 		} else if i+1 < end {
 			var ok bool
-			if s, ok = fusePair(&dec[i], &dec[i+1], i); !ok {
-				s = singleStep(&dec[i], i)
+			if s, ok = fusePair(&ins[i], &ins[i+1], i); !ok {
+				s = singleStep(&ins[i], i)
 			}
 		} else {
-			s = singleStep(&dec[i], i)
+			s = singleStep(&ins[i], i)
 		}
-		for j := i + int(s.n); j < end && dec[j].op == NOP; j++ {
+		for j := i + int(s.n); j < end && ins[j].Op == NOP; j++ {
 			s.n++
 		}
 		steps = append(steps, s)
@@ -400,19 +402,19 @@ func fuseMovRuns(steps []tstep) []tstep {
 // word offsets — the shape spill and reload bursts take at call
 // boundaries. A reload run must not clobber its base before its last
 // element (the run's precomputed element addresses would go stale).
-func memRunLen(dec []decoded, i, end int) int {
-	op := dec[i].op
+func memRunLen(ins []Instr, i, end int) int {
+	op := ins[i].Op
 	if op != LD && op != ST {
 		return 0
 	}
-	base, imm := dec[i].rs1&31, dec[i].imm
+	base, imm := ins[i].Rs1&31, ins[i].Imm
 	n := 1
 	for n < 4 && i+n < end {
-		d := &dec[i+n]
-		if d.op != op || d.rs1&31 != base || d.imm != imm+int32(4*n) {
+		in := &ins[i+n]
+		if in.Op != op || in.Rs1&31 != base || in.Imm != imm+int32(4*n) {
 			break
 		}
-		if op == LD && dec[i+n-1].rd&31 == base {
+		if op == LD && ins[i+n-1].Rd&31 == base {
 			break
 		}
 		n++
@@ -427,26 +429,26 @@ func memRunLen(dec []decoded, i, end int) int {
 // rs1, first offset in imm, and the element registers (value sources for a
 // save, remapped destinations for a restore) packed a byte apiece into
 // imm2, element k at bits 8k.
-func memRunStep(dec []decoded, i, n int) tstep {
-	d := &dec[i]
-	s := tstep{n: uint8(n), rs1: d.rs1 & 31, imm: d.imm, off: int32(i)}
+func memRunStep(ins []Instr, i, n int) tstep {
+	d := &ins[i]
+	s := tstep{n: uint8(n), rs1: d.Rs1 & 31, imm: d.Imm, off: int32(i)}
 	var packed uint32
 	for k := 0; k < n; k++ {
 		var reg uint8
-		if d.op == ST {
-			reg = dec[i+k].rs2 & 31
+		if d.Op == ST {
+			reg = ins[i+k].Rs2 & 31
 		} else {
-			reg = zdst(dec[i+k].rd)
+			reg = zdst(ins[i+k].Rd)
 		}
 		packed |= uint32(reg) << (8 * k)
 	}
 	s.imm2 = int32(packed)
 	switch {
-	case d.op == LD && n == 3:
+	case d.Op == LD && n == 3:
 		s.kind = kLd3
-	case d.op == LD && n == 4:
+	case d.Op == LD && n == 4:
 		s.kind = kLd4
-	case d.op == ST && n == 3:
+	case d.Op == ST && n == 3:
 		s.kind = kSt3
 	default:
 		s.kind = kSt4
@@ -457,71 +459,71 @@ func memRunStep(dec []decoded, i, n int) tstep {
 // fusePair recognizes the superinstruction idioms. The fused executors run
 // the two halves in textual order (the second half reads registers after
 // the first half's write), so fusion never changes architectural state.
-func fusePair(d1, d2 *decoded, i int) (tstep, bool) {
+func fusePair(d1, d2 *Instr, i int) (tstep, bool) {
 	// NOP elision: the surviving instruction's step covers both source
 	// pcs. A fault inside a NOP+X step must attribute to X's pc, so the
 	// step is compiled at the survivor's address.
-	if d2.op == NOP {
+	if d2.Op == NOP {
 		s := singleStep(d1, i)
 		s.n = 2
 		return s, true
 	}
-	if d1.op == NOP {
+	if d1.Op == NOP {
 		s := singleStep(d2, i+1)
 		s.n = 2
 		return s, true
 	}
 	var kind uint8
 	switch {
-	case d1.op == SRLI && d2.op == ANDI:
+	case d1.Op == SRLI && d2.Op == ANDI:
 		kind = kSrliAndi
-	case d1.op == SLLI && d2.op == ORI:
+	case d1.Op == SLLI && d2.Op == ORI:
 		kind = kSlliOri
-	case d1.op == MOV && d2.op == MOV:
+	case d1.Op == MOV && d2.Op == MOV:
 		kind = kMovMov
-	case d1.op == ANDI && d2.op == LD:
+	case d1.Op == ANDI && d2.Op == LD:
 		kind = kAndiLd
-	case d1.op == ADDI && d2.op == LD:
+	case d1.Op == ADDI && d2.Op == LD:
 		kind = kAddiLd
-	case d1.op == LD && d2.op == LD:
+	case d1.Op == LD && d2.Op == LD:
 		kind = kLdLd
-	case d1.op == ST && d2.op == ST:
+	case d1.Op == ST && d2.Op == ST:
 		kind = kStSt
-	case d1.op == MOV && d2.op == LD:
+	case d1.Op == MOV && d2.Op == LD:
 		kind = kMovLd
-	case d1.op == LD && d2.op == MOV:
+	case d1.Op == LD && d2.Op == MOV:
 		kind = kLdMov
-	case d1.op == LD && d2.op == ST:
+	case d1.Op == LD && d2.Op == ST:
 		kind = kLdSt
-	case d1.op == ST && d2.op == LD:
+	case d1.Op == ST && d2.Op == LD:
 		kind = kStLd
-	case d1.op == ST && d2.op == MOV:
+	case d1.Op == ST && d2.Op == MOV:
 		kind = kStMov
-	case d1.op == MOV && d2.op == ST:
+	case d1.Op == MOV && d2.Op == ST:
 		kind = kMovSt
-	case d1.op == ADDI && d2.op == ST:
+	case d1.Op == ADDI && d2.Op == ST:
 		kind = kAddiSt
-	case d1.op == LD && d2.op == SRLI:
+	case d1.Op == LD && d2.Op == SRLI:
 		kind = kLdSrli
-	case d1.op == MOV && d2.op == SRLI:
+	case d1.Op == MOV && d2.Op == SRLI:
 		kind = kMovSrli
-	case d1.op == LD && d2.op == ADDI:
+	case d1.Op == LD && d2.Op == ADDI:
 		kind = kLdAddi
-	case d1.op == ST && d2.op == LI:
+	case d1.Op == ST && d2.Op == LI:
 		kind = kStLi
-	case d1.op == LI && d2.op == OR:
+	case d1.Op == LI && d2.Op == OR:
 		kind = kLiOr
-	case d1.op == OR && d2.op == ADDI:
+	case d1.Op == OR && d2.Op == ADDI:
 		kind = kOrAddi
-	case d1.op == SLLI && d2.op == SRAI:
+	case d1.Op == SLLI && d2.Op == SRAI:
 		kind = kSlliSrai
 	default:
 		return tstep{}, false
 	}
 	return tstep{
 		kind: kind, n: 2,
-		rd: zdst(d1.rd), rs1: d1.rs1 & 31, rs2: d1.rs2 & 31, imm: d1.imm,
-		rd2: zdst(d2.rd), rs3: d2.rs1 & 31, tag: d2.rs2 & 31, imm2: d2.imm,
+		rd: zdst(d1.Rd), rs1: d1.Rs1 & 31, rs2: d1.Rs2 & 31, imm: d1.Imm,
+		rd2: zdst(d2.Rd), rs3: d2.Rs1 & 31, tag: d2.Rs2 & 31, imm2: d2.Imm,
 		off: int32(i),
 	}, true
 }
@@ -544,26 +546,26 @@ func slotSimple(o Op) bool {
 
 // buildTerm fills in the terminator for the block body ending at tpc.
 func (p *Program) buildTerm(b *tblock, tpc int) {
-	dec := p.dec
+	ins := p.Instrs
 	t := &b.term
 	t.pc = int32(tpc)
-	if tpc >= len(dec) {
+	if tpc >= len(ins) {
 		// Ran off the end of the stream: the transfer to tpc faults with
 		// "pc out of range", exactly where the reference engine does.
 		t.kind = termFall
 		t.fall.nextPC = int32(tpc)
 		return
 	}
-	d := &dec[tpc]
-	if !(d.op.IsControl() || d.op == SYS || d.op == HALT) {
+	d := &ins[tpc]
+	if !(d.Op.IsControl() || d.Op == SYS || d.Op == HALT) {
 		t.kind = termFall
 		t.fall.nextPC = int32(tpc)
 		return
 	}
-	t.op = d.op
-	t.rs1, t.rs2, t.tag = d.rs1&31, d.rs2&31, d.tag
-	t.imm, t.target = d.imm, d.target
-	switch d.op {
+	t.op = d.Op
+	t.rs1, t.rs2, t.tag = d.Rs1&31, d.Rs2&31, d.Tag
+	t.imm, t.target = d.Imm, d.Target
+	switch d.Op {
 	case HALT:
 		t.kind = termHalt
 		return
@@ -572,46 +574,47 @@ func (p *Program) buildTerm(b *tblock, tpc int) {
 		t.fall.nextPC = int32(tpc + 1)
 		return
 	}
-	if tpc+2 >= len(dec) {
+	if tpc+2 >= len(ins) {
 		t.kind = termInterp
 		return
 	}
-	s1, s2 := &dec[tpc+1], &dec[tpc+2]
+	s1, s2 := &ins[tpc+1], &ins[tpc+2]
 	t.slot1, t.slot2 = s1, s2
-	t.slotsNop = d.slotsNop
-	if !slotSimple(s1.op) || !slotSimple(s2.op) {
+	t.slotsNop = s1.Op == NOP && s2.Op == NOP
+	if !slotSimple(s1.Op) || !slotSimple(s2.Op) {
 		t.kind = termInterp
 		return
 	}
 	t.slots[0] = singleStep(s1, tpc+1)
 	t.slots[1] = singleStep(s2, tpc+2)
-	switch d.op {
+	switch d.Op {
 	case JMP, JAL:
 		t.kind = termJump
-		t.link = d.op == JAL
-		t.taken = p.makeOutcome(d, s1, s2, int(d.target), false)
+		t.link = d.Op == JAL
+		t.taken = p.makeOutcome(t, int(d.Target), false)
 	case JALR, JR:
 		t.kind = termJumpInd
-		t.link = d.op == JALR
-		t.taken = p.makeOutcome(d, s1, s2, -1, false)
+		t.link = d.Op == JALR
+		t.taken = p.makeOutcome(t, -1, false)
 	default:
 		t.kind = termCond
-		t.taken = p.makeOutcome(d, s1, s2, int(d.target), false)
-		t.fall = p.makeOutcome(d, s1, s2, tpc+3, d.squash)
+		t.taken = p.makeOutcome(t, int(d.Target), false)
+		t.fall = p.makeOutcome(t, tpc+3, d.Squash)
 	}
 }
 
-// makeOutcome computes the static accounting of one branch direction.
-// target < 0 means the transfer target is computed at run time (JALR/JR);
-// annul means this is the not-taken direction of a squashing branch.
-func (p *Program) makeOutcome(d, s1, s2 *decoded, target int, annul bool) outcome {
+// makeOutcome computes the static accounting of one direction of t's
+// transfer. target < 0 means the transfer target is computed at run time
+// (JALR/JR); annul means this is the not-taken direction of a squashing
+// branch.
+func (p *Program) makeOutcome(t *tterm, target int, annul bool) outcome {
 	o := outcome{nextPC: int32(target)}
-	branchCyc := uint64(d.cycles)
+	branchCyc := t.op.Cycles()
 	// The block engines check the cycle limit right after dispatching the
 	// transfer: before the slots run, except on the both-slots-NOP fast
 	// path, where they consume the two slot cycles first.
 	o.checkCyc = branchCyc
-	if d.slotsNop {
+	if t.slotsNop {
 		o.checkCyc = branchCyc + 2
 	}
 	if annul {
@@ -619,17 +622,18 @@ func (p *Program) makeOutcome(d, s1, s2 *decoded, target int, annul bool) outcom
 		o.cyc = branchCyc + 2 // two annulled slot cycles
 		return o
 	}
-	o.cyc = branchCyc + uint64(s1.cycles) + uint64(s2.cycles)
-	if s1.op.IsLoad() && s2.readMask&s1.wmask != 0 {
+	s1, s2 := t.slot1, t.slot2
+	o.cyc = branchCyc + s1.Op.Cycles() + s2.Op.Cycles()
+	if s1.stallsBefore(s2) {
 		o.cyc++
-		o.stalls = append(o.stalls, stallRec{s1.cat, s1.sub, s1.rtCheck})
+		o.stalls = append(o.stalls, stallRec{s1.Cat, s1.Sub, s1.RTCheck})
 	}
-	if s2.op.IsLoad() {
+	if s2.Op.IsLoad() {
 		if target < 0 {
-			o.s2wmask = s2.wmask
-		} else if uint(target) < uint(len(p.dec)) && p.dec[target].readMask&s2.wmask != 0 {
+			o.s2wmask = s2.loadMask()
+		} else if uint(target) < uint(len(p.Instrs)) && s2.stallsBefore(&p.Instrs[target]) {
 			o.cyc++
-			o.stalls = append(o.stalls, stallRec{s2.cat, s2.sub, s2.rtCheck})
+			o.stalls = append(o.stalls, stallRec{s2.Cat, s2.Sub, s2.RTCheck})
 		}
 	}
 	return o

@@ -23,7 +23,7 @@ func regName(r uint8) string {
 func Disasm(in *Instr, labels map[int]string) string {
 	target := func() string {
 		if labels != nil {
-			if n, ok := labels[in.Target]; ok {
+			if n, ok := labels[int(in.Target)]; ok {
 				return n
 			}
 		}

@@ -3,30 +3,31 @@ package mipsx
 import "fmt"
 
 // Engine selects one of the three execution engines. The zero value is
-// the block-translating engine, making it the default everywhere a caller
-// does not ask for something else.
+// the native engine, making it the default everywhere a caller does not
+// ask for something else: ParseEngine(""), Machine.Run, core.Runner and
+// every front end that leaves the engine unset.
 type Engine uint8
 
 const (
+	// EngineNative is the translated engine's block loop plus superblocks
+	// (native.go, superblock.go): hot chained-block paths are flattened
+	// into check-elided streams that run through their own executor and
+	// are charged with a single counter increment per complete run.
+	// Honours MaxCycles and Ctx itself; falls back to the reference engine
+	// only when an Observer is attached or the machine is stopped
+	// mid-pipeline, and when the program's superblocks are pinned to a
+	// different hardware config it runs the same loop without them.
+	EngineNative Engine = iota
 	// EngineTranslated is the basic-block translation engine (translate.go):
-	// the predecoded stream is cut into straight-line blocks, recurring tag
+	// the instruction stream is cut into straight-line blocks, recurring tag
 	// idioms are fused into superinstructions, and translated blocks are
-	// cached and chained. Honours MaxCycles and Ctx itself; falls back to
-	// the reference engine only when an Observer is attached or the machine
-	// is stopped mid-pipeline.
-	EngineTranslated Engine = iota
+	// cached and chained. It is the native engine without superblocks, kept
+	// as that baseline. Falls back like the native engine.
+	EngineTranslated
 	// EngineReference is the single-step reference engine (sim.go): the
 	// ground truth the other engines are tested against, and the engine
 	// that serves every Observer.
 	EngineReference
-	// EngineNative is the translated engine's block loop plus superblocks
-	// (native.go, superblock.go): hot chained-block paths are flattened
-	// into check-elided streams that run through the same dispatch switch
-	// and are charged with a single counter increment per complete run.
-	// Honours Ctx and falls back like the translated engine; when the
-	// program's superblocks are pinned to a different hardware config it
-	// runs the same loop without them.
-	EngineNative
 )
 
 // EngineFused is a deprecated alias of EngineReference. The fused
@@ -41,9 +42,9 @@ const (
 const EngineFused = EngineReference
 
 var engineNames = [...]string{
+	EngineNative:     "native",
 	EngineTranslated: "translated",
 	EngineReference:  "reference",
-	EngineNative:     "native",
 }
 
 func (e Engine) String() string {
@@ -53,26 +54,26 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", uint8(e))
 }
 
-// EngineNames lists the accepted engine selector spellings.
-var EngineNames = []string{"translated", "reference", "native"}
+// EngineNames lists the accepted engine selector spellings, the default
+// first.
+var EngineNames = []string{"native", "translated", "reference"}
 
 // ParseEngine parses an engine selector; the empty string selects the
-// default (translated) engine.
+// default, the zero Engine.
 func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "translated":
-		return EngineTranslated, nil
-	case "reference":
-		return EngineReference, nil
-	case "native":
-		return EngineNative, nil
+	if s == "" {
+		return Engine(0), nil
 	}
-	return EngineTranslated, fmt.Errorf("unknown engine %q (want translated, reference or native)", s)
+	for e, name := range engineNames {
+		if s == name {
+			return Engine(e), nil
+		}
+	}
+	return Engine(0), fmt.Errorf("unknown engine %q (want native, translated or reference)", s)
 }
 
-// Run executes the program to completion on the default (translated)
-// engine.
-func (m *Machine) Run() error { return m.RunTranslated() }
+// Run executes the program to completion on the default engine.
+func (m *Machine) Run() error { return m.RunEngine(Engine(0)) }
 
 // RunEngine executes the program to completion on the selected engine.
 // All three engines produce bit-identical architectural state, statistics
@@ -85,11 +86,29 @@ func (m *Machine) RunEngine(e Engine) error {
 	switch e {
 	case EngineReference:
 		return m.RunReference()
-	case EngineNative:
-		return m.RunNative()
-	default:
+	case EngineTranslated:
 		return m.RunTranslated()
+	default:
+		return m.RunNative()
 	}
+}
+
+// Executes reports the engine RunEngine(e) executes on in m's current
+// state: the reference engine when a block engine must fall back to it
+// (an Observer is attached or the machine is stopped mid-pipeline), e
+// otherwise.
+func (m *Machine) Executes(e Engine) Engine {
+	if e != EngineReference && m.needsReference() {
+		return EngineReference
+	}
+	return e
+}
+
+// needsReference reports whether only the reference engine can run m
+// from its current state: it alone emits events, and it alone resumes a
+// machine stopped inside a delay-slot or interlock sequence.
+func (m *Machine) needsReference() bool {
+	return m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero
 }
 
 // TransStats counts what the translated engine did during one Machine's

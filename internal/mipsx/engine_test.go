@@ -97,7 +97,7 @@ func TestEnginesMatchReference(t *testing.T) {
 			a.Add(10, 10, 11)
 			a.Addi(11, 11, 1)
 			a.Li(12, 10)
-			a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int(loop), Squash: true})
+			a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int32(loop), Squash: true})
 			a.Halt()
 			return ""
 		}},
@@ -312,7 +312,6 @@ func TestEngineZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.Predecode()
 
 				// Warm the program-wide caches: blocks, closures, superblocks.
 				warm := NewMachine(p, 4096, hw)

@@ -209,23 +209,26 @@ func (s SubCat) String() string {
 }
 
 // Instr is one machine instruction. Target holds a label id until the
-// program is resolved, then an absolute instruction index.
+// program is resolved, then an absolute instruction index. The fields are
+// ordered by size so an Instr packs into 24 bytes: a Program's instruction
+// array is the only per-instruction copy an image keeps, and the block
+// engines decode from it as they read it.
 type Instr struct {
-	Op     Op
-	Rd     uint8
-	Rs1    uint8
-	Rs2    uint8
 	Imm    int32
-	Tag    uint8 // expected tag for LDC/STC/BTEQ/BTNE; color-base register for LDM/STM
-	Target int
-	Squash bool // conditional branch annuls its delay slots when not taken
+	Target int32
 	// SafeRegs is a bitmask of registers that the scheduler may let
 	// fall-through instructions write inside this branch's delay slots:
 	// registers known dead on the taken path. R1 (the sequence scratch,
 	// which the GC never scans) is implicitly always safe.
 	SafeRegs uint32
+	Op       Op
+	Rd       uint8
+	Rs1      uint8
+	Rs2      uint8
+	Tag      uint8 // expected tag for LDC/STC/BTEQ/BTNE; color-base register for LDM/STM
 	Cat      Category
 	Sub      SubCat
+	Squash   bool // conditional branch annuls its delay slots when not taken
 	RTCheck  bool // emitted only because run-time checking is enabled
 }
 
@@ -272,52 +275,36 @@ const (
 	TrapResultAddr = 84 // handler writes the result item here
 )
 
-// regsRead returns the registers an instruction reads (up to 3).
-func (i *Instr) regsRead() (rs [3]uint8, n int) {
-	add := func(r uint8) {
-		if r != RZero {
-			rs[n] = r
-			n++
-		}
-	}
+// readMask returns the registers the instruction reads as a bitmask, bit r
+// for register r. RZero is never included: reading it neither interlocks
+// nor depends on a write.
+func (i *Instr) readMask() uint32 {
+	var m uint32
 	switch i.Op {
-	case NOP, LI, JMP, JAL, HALT, LABEL:
-	case MOV:
-		add(i.Rs1)
-	case ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI:
-		add(i.Rs1)
+	case MOV, ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, ITOF, FTOI, LD, LDT, LDC,
+		BEQI, BNEI, BLTI, BGEI, BTEQ, BTNE, JALR, JR:
+		m = 1 << i.Rs1
 	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, MUL, DIV, REM, ADDTC, SUBTC,
-		FADD, FSUB, FMUL, FDIV, FLT, FEQ:
-		add(i.Rs1)
-		add(i.Rs2)
-	case ITOF, FTOI:
-		add(i.Rs1)
-	case LD, LDT:
-		add(i.Rs1)
-	case LDC:
-		add(i.Rs1)
+		FADD, FSUB, FMUL, FDIV, FLT, FEQ, ST, STT, STC, BEQ, BNE, BLT, BGE, BLE, BGT:
+		m = 1<<i.Rs1 | 1<<i.Rs2
 	case LDM:
-		add(i.Rs1)
-		add(i.Tag) // color-base register (RZero means "use Rs1")
-	case ST, STT, STC:
-		add(i.Rs1)
-		add(i.Rs2)
+		m = 1<<i.Rs1 | 1<<i.Tag // color-base register (RZero means "use Rs1")
 	case STM:
-		add(i.Rs1)
-		add(i.Rs2)
-		add(i.Tag)
-	case BEQ, BNE, BLT, BGE, BLE, BGT:
-		add(i.Rs1)
-		add(i.Rs2)
-	case BEQI, BNEI, BLTI, BGEI, BTEQ, BTNE:
-		add(i.Rs1)
-	case JALR, JR:
-		add(i.Rs1)
+		m = 1<<i.Rs1 | 1<<i.Rs2 | 1<<i.Tag
 	case SYS:
-		add(RRet)
-		add(3)
+		m = 1<<RRet | 1<<3
 	}
-	return rs, n
+	return m &^ 1
+}
+
+// loadMask is the interlock mask a load leaves behind: the bit of its
+// destination, except RZero, which never interlocks.
+func (i *Instr) loadMask() uint32 { return (1 << (i.Rd & 31)) &^ 1 }
+
+// stallsBefore reports whether i is a load whose result next reads, the
+// one-cycle load interlock when next follows i.
+func (i *Instr) stallsBefore(next *Instr) bool {
+	return i.Op.IsLoad() && next.readMask()&i.loadMask() != 0
 }
 
 // regWritten returns the register an instruction writes, or RZero if none.

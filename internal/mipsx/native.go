@@ -28,7 +28,7 @@ import (
 // across all machines running the same Program under the same hardware
 // config.
 func (m *Machine) RunNative() error {
-	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
+	if m.needsReference() {
 		m.Native.Fallbacks++
 		return m.RunReference()
 	}

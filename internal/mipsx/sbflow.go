@@ -4,7 +4,7 @@ package mipsx
 // elision, and cross-block refusion over the flattened stream.
 //
 // formSuperblock rebuilds each element's body as single-instruction units
-// straight from the predecoded stream and hands the whole flat sequence to
+// straight from the program's instructions and hands the whole flat sequence to
 // optimizeUnits, which runs three passes:
 //
 //  1. Elision. A forward walk assigns every register a value number (a

@@ -107,7 +107,7 @@ func fillSquashSlots(instrs []Instr) {
 			if slot >= len(instrs) || instrs[slot].Op != NOP {
 				break
 			}
-			t := b.Target
+			t := int(b.Target)
 			if t < 0 || t >= len(instrs) {
 				break
 			}
@@ -129,21 +129,12 @@ func movable(x, b *Instr) bool {
 		return false
 	}
 	xw := x.regWritten()
-	bReads, n := b.regsRead()
-	for i := 0; i < n; i++ {
-		if xw != RZero && bReads[i] == xw {
-			return false
-		}
+	if b.readMask()&(1<<xw) != 0 {
+		return false
 	}
 	if bw := b.regWritten(); bw != RZero {
-		if xw == bw {
+		if xw == bw || x.readMask()&(1<<bw) != 0 {
 			return false
-		}
-		xReads, xn := x.regsRead()
-		for i := 0; i < xn; i++ {
-			if xReads[i] == bw {
-				return false
-			}
 		}
 	}
 	return true

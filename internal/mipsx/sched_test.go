@@ -73,7 +73,7 @@ func refEval(prog []refInstr, regs *[32]uint32, mem []uint32) {
 				taken = sx(in.Rs1) >= sx(in.Rs2)
 			}
 			if taken {
-				pc = labelAt[in.Target] // loop increment moves past the label
+				pc = labelAt[int(in.Target)] // loop increment moves past the label
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func TestSchedulerPreservesSemantics(t *testing.T) {
 			if b+1 < nBlocks && rnd(2) == 0 {
 				target := labels[b+1+int(rnd(int64(nBlocks-b-1)))]
 				ops := []Op{BEQ, BNE, BLT, BGE}
-				in := Instr{Op: ops[rnd(4)], Rs1: reg(), Rs2: reg(), Target: int(target)}
+				in := Instr{Op: ops[rnd(4)], Rs1: reg(), Rs2: reg(), Target: int32(target)}
 				ref = append(ref, refInstr{in: in, label: -1})
 				a.Raw(in)
 			}

@@ -304,17 +304,13 @@ func (m *Machine) Step() error {
 	// Load interlock: using a load result in the next cycle stalls one
 	// cycle, charged to the load's own category.
 	if m.lastLoadReg != RZero {
-		rs, n := in.regsRead()
-		for i := 0; i < n; i++ {
-			if rs[i] == m.lastLoadReg {
-				ld := &m.Prog.Instrs[m.lastLoad]
-				m.Stats.Cycles++
-				m.Stats.Stalls++
-				m.Stats.ByCat[ld.Cat]++
-				if ld.RTCheck {
-					m.Stats.ByRTSub[ld.Sub]++
-				}
-				break
+		if in.readMask()&(1<<m.lastLoadReg) != 0 {
+			ld := &m.Prog.Instrs[m.lastLoad]
+			m.Stats.Cycles++
+			m.Stats.Stalls++
+			m.Stats.ByCat[ld.Cat]++
+			if ld.RTCheck {
+				m.Stats.ByRTSub[ld.Sub]++
 			}
 		}
 		m.lastLoadReg = RZero
@@ -531,9 +527,9 @@ func (m *Machine) Step() error {
 		if taken {
 			if m.Obs != nil {
 				m.Obs.Event(Event{Kind: EvBranch, Cycle: m.Stats.Cycles,
-					PC: int32(m.PC), Target: int32(in.Target)})
+					PC: int32(m.PC), Target: in.Target})
 			}
-			m.pendTarget = in.Target
+			m.pendTarget = int(in.Target)
 			m.pendCount = delaySlots
 		} else if in.Squash {
 			m.pendTarget = -1
@@ -550,10 +546,10 @@ func (m *Machine) Step() error {
 		}
 		switch in.Op {
 		case JMP:
-			m.pendTarget = in.Target
+			m.pendTarget = int(in.Target)
 		case JAL:
 			r[RRA] = uint32(m.PC+1+delaySlots) << 2
-			m.pendTarget = in.Target
+			m.pendTarget = int(in.Target)
 		case JALR:
 			if r[in.Rs1]&3 != 0 {
 				return m.fault("jalr to misaligned code address %#x", r[in.Rs1])

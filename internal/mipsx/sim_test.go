@@ -411,7 +411,7 @@ func TestSquashingBranch(t *testing.T) {
 	a.Add(10, 10, 11) // sum += i
 	a.Addi(11, 11, 1)
 	a.Li(12, 10)
-	a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int(loop), Squash: true})
+	a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int32(loop), Squash: true})
 	a.Halt()
 	p, err := a.Finish("main")
 	if err != nil {
@@ -443,7 +443,7 @@ func TestSquashFillFromTarget(t *testing.T) {
 	a.Add(10, 10, 11)
 	a.Addi(11, 11, 1)
 	a.Li(12, 10)
-	a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int(loop), Squash: true})
+	a.Raw(Instr{Op: BLE, Rs1: 11, Rs2: 12, Target: int32(loop), Squash: true})
 	a.Halt()
 	p, err := a.Finish("main")
 	if err != nil {
@@ -461,7 +461,7 @@ func TestSquashFillFromTarget(t *testing.T) {
 	if p.Instrs[br+1].Op == NOP && p.Instrs[br+2].Op == NOP {
 		t.Error("squash slots were not filled from the target")
 	}
-	if p.Instrs[br].Target == p.Labels["loop"] {
+	if int(p.Instrs[br].Target) == p.Labels["loop"] {
 		t.Error("branch was not retargeted past the copied instructions")
 	}
 }

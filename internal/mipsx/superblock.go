@@ -251,10 +251,10 @@ func (m *Machine) formScratch() *sbScratch {
 
 // appendBody appends b's body instructions to units as single-instruction
 // units of element elem.
-func appendBody(units []sbUnit, dec []decoded, b *tblock, elem int) []sbUnit {
+func appendBody(units []sbUnit, ins []Instr, b *tblock, elem int) []sbUnit {
 	for pc := int(b.start); pc < int(b.start)+int(b.bodyLen); pc++ {
-		if d := &dec[pc]; d.op != NOP {
-			units = append(units, sbUnit{s: singleStep(d, pc), elem: int32(elem)})
+		if in := &ins[pc]; in.Op != NOP {
+			units = append(units, sbUnit{s: singleStep(in, pc), elem: int32(elem)})
 		}
 	}
 	return units
@@ -318,8 +318,8 @@ walk:
 			w = sbWalked{b: b, o: &t.taken, hotTaken: true, hasDir: true,
 				isJr: true, jrTgt: tgt}
 			w.jrStall = !t.slotsNop && t.taken.s2wmask != 0 &&
-				uint(tgt) < uint(len(p.dec)) &&
-				p.dec[tgt].readMask&t.taken.s2wmask != 0
+				uint(tgt) < uint(len(p.Instrs)) &&
+				p.Instrs[tgt].readMask()&t.taken.s2wmask != 0
 			npc = tgt
 		} else {
 			o, hotTaken, hasDir := m.hotOutcome(b)
@@ -367,7 +367,7 @@ walk:
 	}
 
 	sb := &sblock{idx: int32(len(old)), elems: make([]sbElem, elemCount)}
-	dec := p.dec
+	ins := p.Instrs
 	units := sc.units[:0]
 	var cyc, maxCyc uint64
 	for j, w := range path {
@@ -376,7 +376,7 @@ walk:
 			b: w.b, hotTaken: w.hotTaken, hasDir: w.hasDir,
 			jrTgt: w.jrTgt, jrStall: w.jrStall, cycBefore: cyc,
 		}
-		units = appendBody(units, dec, w.b, j)
+		units = appendBody(units, ins, w.b, j)
 		switch t.kind {
 		case termCond:
 			hot := uint8(0)
@@ -429,7 +429,7 @@ walk:
 	}
 	if terminal != nil {
 		sb.elems[len(path)] = sbElem{b: terminal, cycBefore: cyc}
-		units = appendBody(units, dec, terminal, len(path))
+		units = appendBody(units, ins, terminal, len(path))
 		cyc += terminal.bodyCyc
 		maxCyc += terminal.bodyCyc
 		sb.termB = terminal
@@ -511,9 +511,9 @@ func (m *Machine) creditJrStall(e *sbElem, n uint64) {
 	s2 := e.b.term.slot2
 	st := &m.Stats
 	st.Stalls += n
-	st.ByCat[s2.cat] += n
-	if s2.rtCheck {
-		st.ByRTSub[s2.sub] += n
+	st.ByCat[s2.Cat] += n
+	if s2.RTCheck {
+		st.ByRTSub[s2.Sub] += n
 	}
 }
 

@@ -75,7 +75,7 @@ import (
 // MaxCycles, using the translated-block cache shared across all machines
 // running the same Program.
 func (m *Machine) RunTranslated() error {
-	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
+	if m.needsReference() {
 		m.Trans.Fallbacks++
 		return m.RunReference()
 	}
@@ -188,7 +188,7 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	native := len(engine) == 1
 	p := m.Prog
 	p.initTranslation()
-	dec := p.dec
+	ins := p.Instrs
 	mem := m.Mem
 	tagShift, tagMask := m.HW.TagShift, m.HW.TagMask
 	memAddrMask := m.HW.MemAddrMask
@@ -213,10 +213,10 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	limit := m.cycleLimit(cycles)
 	var over bool
 
-	if len(m.execCounts) < len(dec) {
-		m.execCounts = make([]uint64, len(dec))
+	if len(m.execCounts) < len(ins) {
+		m.execCounts = make([]uint64, len(ins))
 	}
-	counts := m.execCounts[:len(dec)]
+	counts := m.execCounts[:len(ins)]
 	// Per-block counters, indexed by dense block id; grown (with headroom)
 	// when execution reaches a block translated past the current size.
 	bctr := m.bctr
@@ -805,18 +805,6 @@ loop:
 					br.chainHits++
 				}
 			default: // termJumpInd
-				// Slot-2 load interlock against the computed target,
-				// the one stall the translator cannot resolve
-				// statically.
-				if o.s2wmask != 0 && uint(itgt) < uint(len(dec)) &&
-					dec[itgt].readMask&o.s2wmask != 0 {
-					cycles++
-					st.Stalls++
-					st.ByCat[t.slot2.cat]++
-					if t.slot2.rtCheck {
-						st.ByRTSub[t.slot2.sub]++
-					}
-				}
 				bc.taken++
 				pc = itgt
 				// The cache is promote-once: a polymorphic site (a
@@ -837,6 +825,17 @@ loop:
 					}
 					if ce == nil {
 						t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
+					}
+				}
+				// Slot-2 load interlock against the computed target's
+				// first instruction, the one stall the translator cannot
+				// resolve statically.
+				if o.s2wmask&b.leadReads != 0 {
+					cycles++
+					st.Stalls++
+					st.ByCat[t.slot2.Cat]++
+					if t.slot2.RTCheck {
+						st.ByRTSub[t.slot2.Sub]++
 					}
 				}
 			}
@@ -1125,14 +1124,14 @@ loop:
 			// Consume a trailing load interlock left by a slot, exactly as
 			// the reference engine's next Step would.
 			if m.lastLoadReg != RZero {
-				if !m.pendSquash && uint(pc) < uint(len(dec)) &&
-					dec[pc].readMask&(1<<m.lastLoadReg) != 0 {
-					ld := &dec[m.lastLoad]
+				if !m.pendSquash && uint(pc) < uint(len(ins)) &&
+					ins[pc].readMask()&(1<<m.lastLoadReg) != 0 {
+					ld := &ins[m.lastLoad]
 					cycles++
 					st.Stalls++
-					st.ByCat[ld.cat]++
-					if ld.rtCheck {
-						st.ByRTSub[ld.sub]++
+					st.ByCat[ld.Cat]++
+					if ld.RTCheck {
+						st.ByRTSub[ld.Sub]++
 					}
 				}
 				m.lastLoadReg = RZero
@@ -1416,7 +1415,7 @@ loop:
 			s1, s2 := t.slot1, t.slot2
 			counts[t.pc]++
 			counts[t.pc+1]++
-			cycles += 1 + uint64(s1.cycles)
+			cycles += 1 + s1.Op.Cycles()
 			if br.x.fpc == int(t.pc)+1 {
 				pc = int(t.pc) + 1
 				if pendT >= 0 {
@@ -1427,15 +1426,15 @@ loop:
 				// The slot-1 load's interlock against slot 2 is part of
 				// the static outcome, which is not applied on this path;
 				// charge it live.
-				if s1.op.IsLoad() && s2.readMask&s1.wmask != 0 {
+				if s1.stallsBefore(s2) {
 					cycles++
 					st.Stalls++
-					st.ByCat[s1.cat]++
-					if s1.rtCheck {
-						st.ByRTSub[s1.sub]++
+					st.ByCat[s1.Cat]++
+					if s1.RTCheck {
+						st.ByRTSub[s1.Sub]++
 					}
 				}
-				cycles += uint64(s2.cycles)
+				cycles += s2.Op.Cycles()
 				pc = int(t.pc) + 2
 				if pendT >= 0 {
 					m.pendTarget, m.pendCount = pendT, delaySlots-1
@@ -1511,18 +1510,18 @@ func (b *tblock) coversPC(pc int32) bool {
 // engine charges a load's stall only after the load succeeds). base is the cycle
 // count before the block was entered; the new total is returned.
 func (m *Machine) accountPrefix(start, j int, base uint64) uint64 {
-	dec := m.Prog.dec
+	ins := m.Prog.Instrs
 	st := &m.Stats
 	for i := start; i <= j; i++ {
-		d := &dec[i]
+		in := &ins[i]
 		m.execCounts[i]++
-		base += uint64(d.cycles)
-		if i < j && d.op.IsLoad() && dec[i+1].readMask&d.wmask != 0 {
+		base += in.Op.Cycles()
+		if i < j && in.stallsBefore(&ins[i+1]) {
 			base++
 			st.Stalls++
-			st.ByCat[d.cat]++
-			if d.rtCheck {
-				st.ByRTSub[d.sub]++
+			st.ByCat[in.Cat]++
+			if in.RTCheck {
+				st.ByRTSub[in.Sub]++
 			}
 		}
 	}
@@ -1604,22 +1603,22 @@ func (m *Machine) expandBlockCtrs(counts []uint64, squashed *uint64, blockRuns, 
 // expanded executions.
 func (m *Machine) expandCounts(counts []uint64, instrs, squashed uint64) uint64 {
 	st := &m.Stats
-	dec := m.Prog.dec
+	ins := m.Prog.Instrs
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
 		counts[i] = 0
-		d := &dec[i]
-		cyc := c * uint64(d.cycles)
+		in := &ins[i]
+		cyc := c * in.Op.Cycles()
 		instrs += c
-		st.ByCat[d.cat] += cyc
-		st.ByOp[d.op] += c
-		if d.subbed {
-			st.BySub[d.sub] += cyc
+		st.ByCat[in.Cat] += cyc
+		st.ByOp[in.Op] += c
+		if in.Cat == CatTagCheck || in.Cat == CatTagExtract {
+			st.BySub[in.Sub] += cyc
 		}
-		if d.rtCheck {
-			st.ByRTSub[d.sub] += cyc
+		if in.RTCheck {
+			st.ByRTSub[in.Sub] += cyc
 		}
 	}
 	st.ByCat[CatSquash] += squashed

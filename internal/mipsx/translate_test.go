@@ -259,7 +259,7 @@ func TestTranslatedZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the shared caches (predecode + translation).
+	// Warm the shared block cache.
 	warm := NewMachine(p, 1024, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
 	warm.MaxCycles = 10_000_000
 	if err := warm.RunTranslated(); err != nil {

@@ -276,9 +276,6 @@ func (r *Runtime) build(programSrc string, opts BuildOptions, runtimeCompile tim
 	if err != nil {
 		return nil, err
 	}
-	// Predecode here so the one-time decode cost lands at build time and
-	// machines created from the image start executing immediately.
-	prog.Predecode()
 	img.Prog = prog
 	img.Procedures = c.Funcs
 

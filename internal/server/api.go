@@ -77,8 +77,8 @@ type RunRequest struct {
 	// TimeoutMS overrides the server's default per-request deadline,
 	// clamped to the server's maximum.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Engine selects the simulator engine for this request: "translated"
-	// (default), "reference" or "native". All engines produce
+	// Engine selects the simulator engine for this request: "native"
+	// (default), "translated" or "reference". All engines produce
 	// bit-identical results, so the shared result cache serves every
 	// engine — the choice only matters for the run that fills a cache
 	// miss. GET /v1/configs lists the accepted spellings.

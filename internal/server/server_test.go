@@ -172,6 +172,11 @@ func TestRunEndpoint(t *testing.T) {
 	if rep.Schema != core.SchemaVersion || rep.Program != "comp" || !rep.Checking {
 		t.Errorf("unexpected report: %s", body)
 	}
+	// A request that names no engine runs on the default one, and the
+	// report says which engine that was.
+	if rep.EngineExecuted != "native" {
+		t.Errorf("engine_executed %q, want native (the default)", rep.EngineExecuted)
+	}
 	cfg, _ := core.ParseConfig("high5+check+mem+tbr")
 	want, err := core.NewRunner().Run(programs.MustByName("comp"), cfg)
 	if err != nil {
@@ -213,13 +218,15 @@ func TestRunEndpoint(t *testing.T) {
 
 	// Per-engine run counters: the loop above only simulated under the first
 	// engine (the rest hit the cache), so force an uncached native run and
-	// check it is attributed to the native engine.
+	// check it is attributed to the native engine. Default-engine runs
+	// count as native too, so the counter is checked for growth by one.
+	before := counters(t, ts.URL)
 	if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "trav", "config": "low3", "engine": "native"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("native run status %d: %s", resp.StatusCode, body)
 	}
 	c := counters(t, ts.URL)
-	if c["runs_engine_total/native"] != 1 {
-		t.Errorf("runs_engine_total/native = %d, want 1", c["runs_engine_total/native"])
+	if got := c["runs_engine_total/native"] - before["runs_engine_total/native"]; got != 1 {
+		t.Errorf("runs_engine_total/native grew by %d, want 1", got)
 	}
 	if c["runs_engine_total/"+mipsx.EngineNames[0]] == 0 {
 		t.Errorf("runs_engine_total/%s = 0, want ≥1", mipsx.EngineNames[0])
@@ -229,31 +236,43 @@ func TestRunEndpoint(t *testing.T) {
 // TestRunExecutesOnRequestedEngine pins the service path: every request
 // carries a deadline context into the simulator, and the translated and
 // native engines must honour it themselves instead of delegating the run
-// to the reference engine.
+// to the reference engine. A request that names no engine runs native,
+// and its native runs must enter superblock streams.
 func TestRunExecutesOnRequestedEngine(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	for _, tc := range []struct {
-		engine, counter, blockRuns string
-		body                       map[string]any
+		name, engine string
+		grow         []string
+		body         map[string]any
 	}{
-		{"translated", "runs_engine_total/translated", "engine_block_runs_total",
+		{"default", "native", []string{"runs_engine_total/native", "native_block_runs_total", "native_superblock_runs_total"},
 			map[string]any{"program": "comp", "config": "high5+check", "timeout_ms": 60_000}},
-		{"native", "runs_engine_total/native", "native_block_runs_total",
+		{"translated", "translated", []string{"runs_engine_total/translated", "engine_block_runs_total"},
+			map[string]any{"program": "rat", "config": "high5+check", "engine": "translated", "timeout_ms": 60_000}},
+		{"native", "native", []string{"runs_engine_total/native", "native_block_runs_total", "native_superblock_runs_total"},
 			map[string]any{"program": "trav", "config": "low3+check", "engine": "native", "timeout_ms": 60_000}},
 	} {
 		before := counters(t, ts.URL)
-		if resp, body := postJSON(t, ts.URL+"/v1/run", tc.body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s run: status %d: %s", tc.engine, resp.StatusCode, body)
+		resp, body := postJSON(t, ts.URL+"/v1/run", tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s run: status %d: %s", tc.name, resp.StatusCode, body)
+		}
+		var rep core.RunReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.EngineExecuted != tc.engine {
+			t.Errorf("%s run: engine_executed %q, want %q", tc.name, rep.EngineExecuted, tc.engine)
 		}
 		after := counters(t, ts.URL)
 		for _, name := range []string{"engine_fallbacks_total", "native_fallbacks_total"} {
-			if after[name] != before[name] {
-				t.Errorf("%s run: %s grew %d → %d (the run fell back)", tc.engine, name, before[name], after[name])
+			if after[name] != 0 {
+				t.Errorf("%s run: %s = %d, want 0 (the run fell back)", tc.name, name, after[name])
 			}
 		}
-		for _, name := range []string{tc.counter, tc.blockRuns} {
+		for _, name := range tc.grow {
 			if after[name] <= before[name] {
-				t.Errorf("%s run: %s did not grow (%d → %d)", tc.engine, name, before[name], after[name])
+				t.Errorf("%s run: %s did not grow (%d → %d)", tc.name, name, before[name], after[name])
 			}
 		}
 	}
@@ -326,7 +345,7 @@ func TestOverloadReturns429(t *testing.T) {
 
 // TestDeadlineStopsSimulationMidRun sends a request whose deadline is far
 // shorter than the simulation: the server must answer 504 quickly, having
-// stopped the default (translated) engine mid-run, and must not cache the
+// stopped the default (native) engine mid-run, and must not cache the
 // partial result.
 func TestDeadlineStopsSimulationMidRun(t *testing.T) {
 	s, ts := testServer(t, Options{})

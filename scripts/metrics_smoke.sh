@@ -34,28 +34,40 @@ curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5"}' >/dev/
 # sweep only covers untagged configs).
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+memtag"}' >/dev/null
 
-# One native-engine run so the native_* families count real work (they
-# exist at zero for every run, but this exercises superblock formation,
-# elision and the exit-site expansion end to end).
-curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+check","engine":"native"}' >/dev/null
-
 # Every request carries a deadline into the simulator, and the translated
 # and native engines must honour it themselves rather than hand the run
-# to the reference engine. A default-engine and a native run of pairs the
-# prewarm did not cache must execute on those engines and leave both
-# fallback counters at zero. The native runs must also have entered
-# superblock streams: bit-identical results alone cannot show that.
-curl -fsS -X POST "$BASE/v1/run" -d '{"program":"trav","config":"low3+check"}' >/dev/null
-curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"low3+check","engine":"native"}' >/dev/null
-curl -fsS "$BASE/metrics" | python3 -c '
+# to the reference engine. Each run below is of a pair the prewarm did not
+# cache: one that names no engine (the default, native), one that names
+# translated and one that names native. Each must execute on that engine,
+# say so in its report, grow its engine's counters and leave both fallback
+# counters at zero; the native runs must also have entered superblock
+# streams, which bit-identical results alone cannot show.
+engine_run() { # engine_run <request body> <engine> <counter that must grow>...
+    body=$1 want=$2
+    shift 2
+    curl -fsS "$BASE/metrics" >"$OUT/before.json"
+    curl -fsS -X POST "$BASE/v1/run" -d "$body" >"$OUT/run.json"
+    curl -fsS "$BASE/metrics" >"$OUT/after.json"
+    python3 - "$OUT" "$want" "$@" <<'PY' || exit 1
 import json, sys
-c = json.load(sys.stdin)["counters"]
-bad = [k + "=" + str(c.get(k, 0)) for k in ("engine_fallbacks_total", "native_fallbacks_total") if c.get(k, 0) != 0]
-bad += [k + "=0" for k in ("runs_engine_total/translated", "runs_engine_total/native",
-                            "native_superblock_runs_total") if c.get(k, 0) == 0]
+out, want, grow = sys.argv[1], sys.argv[2], sys.argv[3:]
+before = json.load(open(out + "/before.json"))["counters"]
+after = json.load(open(out + "/after.json"))["counters"]
+ran = json.load(open(out + "/run.json"))["engine_executed"]
+bad = [] if ran == want else ["engine_executed=" + ran]
+bad += [k + "=" + str(after.get(k, 0)) for k in ("engine_fallbacks_total", "native_fallbacks_total")
+        if after.get(k, 0) != 0]
+bad += [k + " did not grow" for k in grow if after.get(k, 0) <= before.get(k, 0)]
 if bad:
-    sys.exit("engine selection lost on the service path: " + ", ".join(bad))
-'
+    sys.exit("engine selection lost on the service path (want " + want + "): " + ", ".join(bad))
+PY
+}
+engine_run '{"program":"trav","config":"low3+check"}' native \
+    runs_engine_total/native native_superblock_runs_total
+engine_run '{"program":"rat","config":"low3+check","engine":"translated"}' translated \
+    runs_engine_total/translated engine_block_runs_total
+engine_run '{"program":"comp","config":"low3+check","engine":"native"}' native \
+    runs_engine_total/native native_superblock_runs_total
 
 # One bounded scheme search so the search_* families are live.
 curl -fsS -X POST "$BASE/v1/search" \
