@@ -54,12 +54,12 @@ bench-smoke:
 
 # Race-detector pass over the concurrent machinery: the runner cache and
 # single-flight, the shared compiled runtimes, context cancellation in the
-# engines, and the whole server package. The full core suite (table
-# sweeps) is too slow under -race, so core/mipsx are filtered to the
-# concurrency tests; server runs entirely.
+# engines, machines recycling released memory, and the whole server
+# package. The full core suite (table sweeps) is too slow under -race, so
+# core/mipsx are filtered to the concurrency tests; server runs entirely.
 .PHONY: race
 race:
-	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime' ./internal/core ./internal/mipsx
+	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime|Recycle' ./internal/core ./internal/mipsx
 	$(GO) test -race ./internal/server
 
 # Short-budget coverage-guided fuzzing over every fuzz target: the

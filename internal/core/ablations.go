@@ -237,6 +237,7 @@ func BuildDispatchStress() (*DispatchStress, error) {
 			return 0, err
 		}
 		m := img.NewMachine()
+		defer m.Release()
 		m.MaxCycles = 1_000_000_000
 		if err := m.Run(); err != nil {
 			return 0, err

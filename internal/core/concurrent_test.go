@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/mipsx"
 	"repro/internal/programs"
 	"repro/internal/tags"
 )
@@ -169,4 +172,60 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got := r.Metrics.Snapshot().Counters["runs_total"]; got != 4 {
 		t.Errorf("runs_total = %d, want 4 (evicted pair re-simulated)", got)
 	}
+}
+
+// TestRecycledMachinesMatchSerial runs one image from several goroutines
+// that each construct a machine, run it, compare it with a serial run,
+// poison every other machine's memory (standing in for a program that
+// stores anywhere) and release it, so later machines reuse memory that
+// other goroutines dirtied. Every run must match the serial run bit for
+// bit, memory included. Garbage collection is off for the test: a
+// collection empties the free list, and the test is about the reuse path.
+func TestRecycledMachinesMatchSerial(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	img := buildEquivImage(t, programs.MustByName("comp"), Baseline(true))
+	serial := img.NewMachine()
+	if err := serial.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, runs = 4, 6
+	var (
+		mu     sync.Mutex
+		bufs   = map[*uint32]int{} // backing array → machines given it
+		wg     sync.WaitGroup
+		engine = [...]mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated}
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				m := img.NewMachine()
+				mu.Lock()
+				bufs[&m.Mem[0]]++
+				mu.Unlock()
+				e := engine[(w+i)%len(engine)]
+				if err := m.RunEngine(e); err != nil {
+					t.Errorf("worker %d run %d (%s): %v", w, i, e, err)
+					return
+				}
+				if m.Stats != serial.Stats || m.Regs != serial.Regs || m.PC != serial.PC ||
+					m.Output.String() != serial.Output.String() || !slices.Equal(m.Mem, serial.Mem) {
+					t.Errorf("worker %d run %d (%s): differs from the serial run", w, i, e)
+				}
+				if i%2 == 1 {
+					for j := range m.Mem {
+						m.Mem[j] = ^uint32(j)
+					}
+				}
+				m.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(bufs) == workers*runs {
+		t.Errorf("no machine reused a released buffer (%d machines, %d buffers)", workers*runs, len(bufs))
+	}
+	t.Logf("%d machines used %d buffers", workers*runs, len(bufs))
 }

@@ -423,6 +423,11 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	}
 	if r.Observe != nil {
 		m.Obs = r.Observe(p, cfg)
+	} else {
+		// Nothing outside this call sees m, so once the result is decoded
+		// (or the run failed) its memory goes back for reuse. An observer
+		// may hold on to the machine, so an observed run keeps it.
+		defer m.Release()
 	}
 	r.Metrics.Add("runs_engine_total/"+engine.String(), 1)
 	executed := m.Executes(engine)
@@ -460,7 +465,7 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		Output:  m.Output.String(),
 		Engine:  executed,
 	}
-	r.Metrics.RecordRun(p.Name, cfg.String(), &m.Stats)
+	r.Metrics.RecordRun(metricProgram(p), cfg.String(), &m.Stats)
 	r.Metrics.RecordTrans(&m.Trans)
 	r.Metrics.RecordNative(&m.Native)
 	r.noteImageRun(key, m)
@@ -472,6 +477,16 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 			obs.LatencyBounds, s.DurUS/1e6)
 	}
 	return res, nil
+}
+
+// metricProgram is p's label in per-program metrics: its name for a
+// benchmark program, "inline" for any other source, so distinct inline
+// programs share one series instead of minting one each.
+func metricProgram(p *programs.Program) string {
+	if _, ok := programs.ByName(p.Name); ok {
+		return p.Name
+	}
+	return "inline"
 }
 
 // noteImageRun folds one completed run's engine counters into the cached

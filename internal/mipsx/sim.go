@@ -188,7 +188,9 @@ type Machine struct {
 	sbform *sbScratch
 }
 
-// NewMachine creates a machine with memWords words of zeroed memory.
+// NewMachine creates a machine with memWords words of zeroed memory,
+// reusing the cleared memory of a released machine of the same size when
+// one is free (see Release).
 func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
 	if hw.TrapCycles == 0 {
 		hw.TrapCycles = DefaultTrapCycles
@@ -198,7 +200,7 @@ func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
 	}
 	m := &Machine{
 		Prog:       prog,
-		Mem:        make([]uint32, memWords),
+		Mem:        takeMem(memWords),
 		PC:         prog.Entry,
 		HW:         hw,
 		pendTarget: -1,

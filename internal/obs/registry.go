@@ -60,17 +60,11 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 	g.Add("runs_total", 1)
 	g.Add("cycles_total", st.Cycles)
 	g.Add("instrs_total", st.Instrs)
-	g.Add("stalls_total", st.Stalls)
-	g.Add("squashed_total", st.Squashed)
-	g.Add("traps_total", st.Traps)
-	g.Add("gcs_total", st.GCs)
 	g.Add("gc_words_total", st.GCWords)
 	g.Add("tag_cycles_total", st.TagCycles())
 	g.Add("memtag_cycles_total", st.ByCat[mipsx.CatMemtag])
 	g.Add("cycles_total/"+program+"/"+config, st.Cycles)
 	g.Observe("run_cycles", float64(st.Cycles))
-	g.Observe("run_instrs", float64(st.Instrs))
-	g.Observe("run_tag_pct", mipsx.Pct(st.TagCycles(), st.Cycles))
 	// Memory-tagging families only accumulate when the run actually spent
 	// cycles in the granule-coloring runtime (any memtag config: coloring
 	// is software work even when the checks themselves are hardware), so
@@ -87,7 +81,6 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 // translated run that delegated to the reference engine (observer attached or
 // machine stopped mid-pipeline) rather than a failure.
 func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
-	g.Add("engine_blocks_translated_total", tr.Translated)
 	g.Add("engine_block_runs_total", tr.BlockRuns)
 	g.Add("engine_chain_hits_total", tr.ChainHits)
 	g.Add("engine_fallbacks_total", tr.Fallbacks)
@@ -103,13 +96,11 @@ func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 // hardware config).
 func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
 	g.Add("native_block_runs_total", ns.BlockRuns)
-	g.Add("native_chain_hits_total", ns.ChainHits)
 	g.Add("native_fallbacks_total", ns.Fallbacks)
 	g.Add("native_superblocks_total", ns.SuperBlocks)
 	g.Add("native_superblock_runs_total", ns.SBRuns)
 	g.Add("native_superblock_side_exits_total", ns.SBSideExits)
 	g.Add("native_steps_total", ns.Steps)
-	g.Add("native_fused_steps_total", ns.FusedSteps)
 	g.Add("native_elided_checks_total", ns.ElidedChecks)
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -106,5 +107,62 @@ func TestMetricNamesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("exported metric families changed (run with -update if intentional):\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestMetricSeriesBounded pins that clients cannot mint metric series:
+// requests to distinct unknown paths, with made-up methods on a known
+// path, and with distinct inline sources all land in series that already
+// exist after the first request of each kind.
+func TestMetricSeriesBounded(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	series := func() int {
+		snap := s.Runner().Metrics.Snapshot()
+		return len(snap.Counters) + len(snap.Histograms)
+	}
+	round := func(i int) {
+		t.Helper()
+		if resp := getJSON(t, fmt.Sprintf("%s/no/such/path/%d", ts.URL, i), nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown path status %d, want 404", resp.StatusCode)
+		}
+		req, err := http.NewRequest(fmt.Sprintf("BREW%d", i), ts.URL+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("made-up method status %d, want 405", resp.StatusCode)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{
+			"source": fmt.Sprintf("(+ %d 1)", i), "config": "high5",
+		}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("inline run status %d: %s", resp.StatusCode, body)
+		}
+	}
+
+	round(0)
+	before := series()
+	for i := 1; i <= 20; i++ {
+		round(i)
+	}
+	if after := series(); after != before {
+		t.Errorf("20 rounds of distinct paths, methods and sources grew the series %d → %d", before, after)
+	}
+	snap := s.Runner().Metrics.Snapshot()
+	if got := snap.Counters["http_requests_total/other"]; got != 42 {
+		t.Errorf("http_requests_total/other = %d, want 42", got)
+	}
+	if got := snap.Counters["http_requests_total/POST /v1/run"]; got != 21 {
+		t.Errorf("http_requests_total/POST /v1/run = %d, want 21", got)
+	}
+	if got := snap.Counters["runs_total"]; got != 21 {
+		t.Errorf("runs_total = %d, want 21 distinct inline runs", got)
+	}
+	if snap.Counters["cycles_total/inline/high5"] == 0 {
+		t.Error("no cycles_total/inline/high5 series")
 	}
 }

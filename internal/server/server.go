@@ -128,15 +128,23 @@ func New(o Options) *Server {
 		sem:      make(chan struct{}, o.MaxConcurrent),
 		admitted: make(chan struct{}, o.MaxConcurrent+o.MaxQueue),
 	}
-	s.mux.HandleFunc("GET /v1/programs", s.handlePrograms)
-	s.mux.HandleFunc("GET /v1/configs", s.handleConfigs)
-	s.mux.HandleFunc("GET /v1/introspect", s.handleIntrospect)
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for route, h := range routes {
+		s.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) { h(s, w, r) })
+	}
 	return s
+}
+
+// routes are the service's endpoints, keyed by their mux pattern. The
+// per-route metrics use the same keys.
+var routes = map[string]func(*Server, http.ResponseWriter, *http.Request){
+	"GET /v1/programs":   (*Server).handlePrograms,
+	"GET /v1/configs":    (*Server).handleConfigs,
+	"GET /v1/introspect": (*Server).handleIntrospect,
+	"POST /v1/run":       (*Server).handleRun,
+	"POST /v1/sweep":     (*Server).handleSweep,
+	"POST /v1/search":    (*Server).handleSearch,
+	"GET /healthz":       (*Server).handleHealthz,
+	"GET /metrics":       (*Server).handleMetrics,
 }
 
 // Runner returns the runner backing the service (for prewarming).
@@ -202,14 +210,12 @@ func requestID(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
-// routeOf normalizes a request to a bounded label for per-route metrics.
-// Unknown paths collapse into "other" so a scanner cannot mint unbounded
-// label values.
+// routeOf normalizes a request to a bounded label for per-route metrics:
+// its route when method and path name one, else "other", so a scanner
+// cannot mint label values with made-up paths or methods.
 func routeOf(r *http.Request) string {
-	switch r.URL.Path {
-	case "/v1/run", "/v1/sweep", "/v1/search", "/v1/programs", "/v1/configs",
-		"/v1/introspect", "/healthz", "/metrics":
-		return r.Method + " " + r.URL.Path
+	if route := r.Method + " " + r.URL.Path; routes[route] != nil {
+		return route
 	}
 	return "other"
 }
@@ -229,9 +235,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 	route := routeOf(r)
 	s.reg.Add("http_requests_total", 1)
-	s.reg.Add("http_requests_total/"+r.Method+" "+r.URL.Path, 1)
+	s.reg.Add("http_requests_total/"+route, 1)
 	s.reg.Add("http_responses_total/"+strconv.Itoa(sw.status), 1)
-	s.reg.Observe("http_request_us", float64(dur.Microseconds()))
 	s.reg.ObserveBounds(obs.Labeled("http_request_seconds", "route", route),
 		obs.LatencyBounds, dur.Seconds())
 	s.log.Info("request",
