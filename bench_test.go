@@ -21,18 +21,6 @@ import (
 	"repro/internal/tags"
 )
 
-// TestMain applies the SIM_SBOPT superblock ablation list ("noelide,
-// norefuse") before any benchmark runs, so per-optimization
-// numbers come from the same binary.
-func TestMain(m *testing.M) {
-	opt, err := mipsx.ParseSBOpt(os.Getenv("SIM_SBOPT"))
-	if err != nil {
-		panic(err)
-	}
-	mipsx.SetSBOpt(opt)
-	os.Exit(m.Run())
-}
-
 // sharedRunner memoizes program runs across benchmarks so the full bench
 // suite does each (program, configuration) simulation once.
 var (

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -465,7 +466,7 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		Output:  m.Output.String(),
 		Engine:  executed,
 	}
-	r.Metrics.RecordRun(metricProgram(p), cfg.String(), &m.Stats)
+	r.Metrics.RecordRun(metricProgram(p), metricConfig(cfg), &m.Stats)
 	r.Metrics.RecordTrans(&m.Trans)
 	r.Metrics.RecordNative(&m.Native)
 	r.noteImageRun(key, m)
@@ -487,6 +488,32 @@ func metricProgram(p *programs.Program) string {
 		return p.Name
 	}
 	return "inline"
+}
+
+// metricHW lists the hardware with a named label in per-config metrics:
+// none, every Table 2 row, and the presets the other built-in tables run
+// (pre-shifted pair tags, software and hardware memory tagging).
+var metricHW = func() []tags.HW {
+	hw := []tags.HW{{}, {PreshiftedPairTag: true}, {Memtag: true}, {Memtag: true, MemtagHW: true}}
+	for _, row := range Table2Rows {
+		hw = append(hw, row.HW)
+	}
+	for i := range hw {
+		hw[i] = hw[i].Normalized()
+	}
+	return hw
+}()
+
+// metricConfig is cfg's label in per-config metrics: its spelling for a
+// built-in scheme under one of metricHW, with or without checking (every
+// config the built-in tables run), "other" for any other scheme spec or
+// hardware combination, so the many configs a client may name share one
+// series instead of minting one each.
+func metricConfig(cfg Config) string {
+	if _, ok := tags.BuiltinSpec(cfg.Scheme); ok && slices.Contains(metricHW, cfg.HW.Normalized()) {
+		return cfg.String()
+	}
+	return "other"
 }
 
 // noteImageRun folds one completed run's engine counters into the cached

@@ -80,14 +80,11 @@ const (
 
 // Superblock-stream kinds, produced only by the dataflow pass over formed
 // superblocks (never in shared block bodies), numbered above the edge
-// kinds. kAndLd is the untag-and-load shape the pass exposes by fusing
-// across former block boundaries; the *NC kinds are checked accesses whose
-// tag or granule check an earlier identical check proved redundant — they
-// keep the access's masking and fault semantics bit-identical and skip
-// only the check itself.
+// kinds: checked accesses whose tag or granule check an earlier identical
+// check proved redundant. They keep the access's masking and fault
+// semantics bit-identical and skip only the check itself.
 const (
-	kAndLd uint8 = 113 + iota // register untag (and) folded into the load
-	kLdcNC                    // LDC with a provably redundant tag check elided
+	kLdcNC uint8 = 111 + iota // LDC with a provably redundant tag check elided
 	kStcNC                    // STC with a provably redundant tag check elided
 	kLdmNC                    // LDM with a provably redundant granule check elided
 	kStmNC                    // STM with a provably redundant granule check elided
@@ -332,89 +329,108 @@ func singleStep(in *Instr, pc int) tstep {
 }
 
 // fuseSteps packs the body instructions of [start, end) into dispatch
-// steps: save/restore runs first (they cover the most instructions per
-// dispatch), then recognized idiom pairs, then singles. Trailing NOPs are
-// swallowed into whichever step precedes them — they have no effect, so
-// the step's n simply covers them and dispatch skips them entirely.
+// steps: each instruction becomes a single step, fuseRegion packs them,
+// and fuseMovRuns merges the mov pairs it leaves.
 func fuseSteps(ins []Instr, start, end int) []tstep {
 	steps := make([]tstep, 0, end-start)
-	for i := start; i < end; {
-		var s tstep
-		if n := memRunLen(ins, i, end); n >= 3 {
-			s = memRunStep(ins, i, n)
-		} else if i+1 < end {
-			var ok bool
-			if s, ok = fusePair(&ins[i], &ins[i+1], i); !ok {
-				s = singleStep(&ins[i], i)
-			}
-		} else {
-			s = singleStep(&ins[i], i)
-		}
-		for j := i + int(s.n); j < end && ins[j].Op == NOP; j++ {
-			s.n++
-		}
-		steps = append(steps, s)
-		i += int(s.n)
+	for i := start; i < end; i++ {
+		steps = append(steps, singleStep(&ins[i], i))
 	}
-	return fuseMovRuns(steps)
+	return fuseMovRuns(fuseRegion(steps))
 }
 
-// fuseMovRuns is the second-level fusion pass: argument-shuffle code leaves
-// long runs of MOVs that the pair fuser turns into adjacent kMovMov steps,
-// and this pass merges each adjacent kMovMov+kMovMov into one kMov4 step
-// (and a kMovMov next to a lone MOV into kMov3), halving the dispatches the
-// hottest shuffle sequences cost. MOVs cannot fault, so merging never
-// changes fault attribution; the merged step's n covers every source
-// instruction (swallowed NOPs included) of both halves.
-func fuseMovRuns(steps []tstep) []tstep {
+// fuseRegion packs a sequence of single steps in place: save/restore runs
+// first (they cover the most instructions per dispatch), then recognized
+// idiom pairs, then singles. Trailing NOPs are swallowed into whichever
+// step precedes them — they have no effect, so the step's n simply covers
+// them and dispatch skips them entirely. The block translator packs a
+// whole body; superblock formation packs each element's surviving body
+// units (fuseUnits), which hold no NOPs but may have gaps where elision
+// dropped a step, so the run and pair rules below check that the halves
+// they join sit at adjacent source pcs (always so in a block body).
+func fuseRegion(steps []tstep) []tstep {
 	out := steps[:0]
-	for i := 0; i < len(steps); i++ {
-		s := steps[i]
-		if i+1 < len(steps) {
-			t := &steps[i+1]
-			switch {
-			case s.kind == kMovMov && t.kind == kMovMov:
-				s.kind = kMov4
-				s.rs2, s.tag = t.rd, t.rs1
-				s.imm = int32(uint32(t.rd2) | uint32(t.rs3)<<8)
-				s.n += t.n
-				i++
-			case s.kind == kMovMov && t.kind == uint8(MOV):
-				s.kind = kMov3
-				s.rs2, s.tag = t.rd, t.rs1
-				s.n += t.n
-				i++
-			case s.kind == uint8(MOV) && t.kind == kMovMov:
-				s.kind = kMov3
-				s.rd2, s.rs3 = t.rd, t.rs1
-				s.rs2, s.tag = t.rd2, t.rs3
-				s.n += t.n
-				i++
+	for i := 0; i < len(steps); {
+		s, k := steps[i], 1
+		if n := memRunLen(steps, i); n >= 3 {
+			s, k = memRunStep(steps[i:i+n]), n
+		} else if i+1 < len(steps) {
+			if p, ok := fusePair(&steps[i], &steps[i+1]); ok {
+				s, k = p, 2
 			}
+		}
+		for i += k; i < len(steps) && steps[i].kind == uint8(NOP); i++ {
+			s.n++
 		}
 		out = append(out, s)
 	}
 	return out
 }
 
-// memRunLen measures the register save/restore run starting at i: three or
-// four consecutive LDs or STs off the same base register at consecutive
-// word offsets — the shape spill and reload bursts take at call
-// boundaries. A reload run must not clobber its base before its last
-// element (the run's precomputed element addresses would go stale).
-func memRunLen(ins []Instr, i, end int) int {
-	op := ins[i].Op
+// fuseMovRuns is the second-level fusion pass: argument-shuffle code leaves
+// long runs of MOVs that the pair fuser turns into adjacent kMovMov steps,
+// and this pass merges each adjacent pair of them (mergeMovs), halving the
+// dispatches the hottest shuffle sequences cost.
+func fuseMovRuns(steps []tstep) []tstep {
+	out := steps[:0]
+	for i := 0; i < len(steps); i++ {
+		s := steps[i]
+		if i+1 < len(steps) && mergeMovs(&s, &steps[i+1]) {
+			i++
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// mergeMovs folds t into s when s and t are an adjacent kMovMov+kMovMov
+// (into one kMov4) or a kMovMov next to a lone MOV (into kMov3), and
+// reports whether it did. MOVs cannot fault, so merging never changes
+// fault attribution; the merged step's n covers every source instruction
+// (swallowed NOPs included) of both halves.
+func mergeMovs(s, t *tstep) bool {
+	switch {
+	case s.kind == kMovMov && t.kind == kMovMov:
+		s.kind = kMov4
+		s.rs2, s.tag = t.rd, t.rs1
+		s.imm = int32(uint32(t.rd2) | uint32(t.rs3)<<8)
+	case s.kind == kMovMov && t.kind == uint8(MOV):
+		s.kind = kMov3
+		s.rs2, s.tag = t.rd, t.rs1
+	case s.kind == uint8(MOV) && t.kind == kMovMov:
+		s.kind = kMov3
+		s.rd2, s.rs3 = t.rd, t.rs1
+		s.rs2, s.tag = t.rd2, t.rs3
+	default:
+		return false
+	}
+	s.n += t.n
+	return true
+}
+
+// memRunLen measures the register save/restore run starting at steps[i]:
+// three or four consecutive LDs or STs off the same base register at
+// consecutive word offsets — the shape spill and reload bursts take at
+// call boundaries. The run executor attributes a slow-path fault to off+k,
+// so the elements must also sit at consecutive source pcs. A reload run
+// must not clobber its base before its last element (the run's
+// precomputed element addresses would go stale); rd is already remapped
+// (zdst), so a reload into r0, which lands in the scratch slot, never
+// clobbers an r0 base.
+func memRunLen(steps []tstep, i int) int {
+	s0 := &steps[i]
+	op := Op(s0.kind)
 	if op != LD && op != ST {
 		return 0
 	}
-	base, imm := ins[i].Rs1&31, ins[i].Imm
 	n := 1
-	for n < 4 && i+n < end {
-		in := &ins[i+n]
-		if in.Op != op || in.Rs1&31 != base || in.Imm != imm+int32(4*n) {
+	for n < 4 && i+n < len(steps) {
+		s := &steps[i+n]
+		if s.kind != s0.kind || s.rs1 != s0.rs1 ||
+			s.imm != s0.imm+int32(4*n) || s.off != s0.off+int32(n) {
 			break
 		}
-		if op == LD && ins[i+n-1].Rd&31 == base {
+		if op == LD && steps[i+n-1].rd == s0.rs1 {
 			break
 		}
 		n++
@@ -425,30 +441,30 @@ func memRunLen(ins []Instr, i, end int) int {
 	return n
 }
 
-// memRunStep packs a save/restore run of n elements into one step: base in
-// rs1, first offset in imm, and the element registers (value sources for a
+// memRunStep packs a measured save/restore run into one step: base in rs1,
+// first offset in imm, and the element registers (value sources for a
 // save, remapped destinations for a restore) packed a byte apiece into
 // imm2, element k at bits 8k.
-func memRunStep(ins []Instr, i, n int) tstep {
-	d := &ins[i]
-	s := tstep{n: uint8(n), rs1: d.Rs1 & 31, imm: d.Imm, off: int32(i)}
+func memRunStep(run []tstep) tstep {
+	s0 := &run[0]
+	s := tstep{rs1: s0.rs1, imm: s0.imm, off: s0.off}
 	var packed uint32
-	for k := 0; k < n; k++ {
-		var reg uint8
-		if d.Op == ST {
-			reg = ins[i+k].Rs2 & 31
-		} else {
-			reg = zdst(ins[i+k].Rd)
+	for k := range run {
+		e := &run[k]
+		reg := e.rd
+		if Op(s0.kind) == ST {
+			reg = e.rs2
 		}
 		packed |= uint32(reg) << (8 * k)
+		s.n += e.n
 	}
 	s.imm2 = int32(packed)
 	switch {
-	case d.Op == LD && n == 3:
+	case Op(s0.kind) == LD && len(run) == 3:
 		s.kind = kLd3
-	case d.Op == LD && n == 4:
+	case Op(s0.kind) == LD && len(run) == 4:
 		s.kind = kLd4
-	case d.Op == ST && n == 3:
+	case Op(s0.kind) == ST && len(run) == 3:
 		s.kind = kSt3
 	default:
 		s.kind = kSt4
@@ -456,75 +472,90 @@ func memRunStep(ins []Instr, i, n int) tstep {
 	return s
 }
 
-// fusePair recognizes the superinstruction idioms. The fused executors run
-// the two halves in textual order (the second half reads registers after
-// the first half's write), so fusion never changes architectural state.
-func fusePair(d1, d2 *Instr, i int) (tstep, bool) {
+// fusePair recognizes the superinstruction idioms in two single steps. The
+// fused executors run the two halves in textual order (the second half
+// reads registers after the first half's write), so fusion never changes
+// architectural state.
+func fusePair(s1, s2 *tstep) (tstep, bool) {
 	// NOP elision: the surviving instruction's step covers both source
 	// pcs. A fault inside a NOP+X step must attribute to X's pc, so the
-	// step is compiled at the survivor's address.
-	if d2.Op == NOP {
-		s := singleStep(d1, i)
-		s.n = 2
+	// step keeps the survivor's address.
+	if s2.kind == uint8(NOP) {
+		s := *s1
+		s.n += s2.n
 		return s, true
 	}
-	if d1.Op == NOP {
-		s := singleStep(d2, i+1)
-		s.n = 2
+	if s1.kind == uint8(NOP) {
+		s := *s2
+		s.n += s1.n
 		return s, true
 	}
 	var kind uint8
-	switch {
-	case d1.Op == SRLI && d2.Op == ANDI:
+	switch o1, o2 := Op(s1.kind), Op(s2.kind); {
+	case o1 == SRLI && o2 == ANDI:
 		kind = kSrliAndi
-	case d1.Op == SLLI && d2.Op == ORI:
+	case o1 == SLLI && o2 == ORI:
 		kind = kSlliOri
-	case d1.Op == MOV && d2.Op == MOV:
+	case o1 == MOV && o2 == MOV:
 		kind = kMovMov
-	case d1.Op == ANDI && d2.Op == LD:
+	case o1 == ANDI && o2 == LD:
 		kind = kAndiLd
-	case d1.Op == ADDI && d2.Op == LD:
+	case o1 == ADDI && o2 == LD:
 		kind = kAddiLd
-	case d1.Op == LD && d2.Op == LD:
+	case o1 == LD && o2 == LD:
 		kind = kLdLd
-	case d1.Op == ST && d2.Op == ST:
+	case o1 == ST && o2 == ST:
 		kind = kStSt
-	case d1.Op == MOV && d2.Op == LD:
+	case o1 == MOV && o2 == LD:
 		kind = kMovLd
-	case d1.Op == LD && d2.Op == MOV:
+	case o1 == LD && o2 == MOV:
 		kind = kLdMov
-	case d1.Op == LD && d2.Op == ST:
+	case o1 == LD && o2 == ST:
 		kind = kLdSt
-	case d1.Op == ST && d2.Op == LD:
+	case o1 == ST && o2 == LD:
 		kind = kStLd
-	case d1.Op == ST && d2.Op == MOV:
+	case o1 == ST && o2 == MOV:
 		kind = kStMov
-	case d1.Op == MOV && d2.Op == ST:
+	case o1 == MOV && o2 == ST:
 		kind = kMovSt
-	case d1.Op == ADDI && d2.Op == ST:
+	case o1 == ADDI && o2 == ST:
 		kind = kAddiSt
-	case d1.Op == LD && d2.Op == SRLI:
+	case o1 == LD && o2 == SRLI:
 		kind = kLdSrli
-	case d1.Op == MOV && d2.Op == SRLI:
+	case o1 == MOV && o2 == SRLI:
 		kind = kMovSrli
-	case d1.Op == LD && d2.Op == ADDI:
+	case o1 == LD && o2 == ADDI:
 		kind = kLdAddi
-	case d1.Op == ST && d2.Op == LI:
+	case o1 == ST && o2 == LI:
 		kind = kStLi
-	case d1.Op == LI && d2.Op == OR:
+	case o1 == LI && o2 == OR:
 		kind = kLiOr
-	case d1.Op == OR && d2.Op == ADDI:
+	case o1 == OR && o2 == ADDI:
 		kind = kOrAddi
-	case d1.Op == SLLI && d2.Op == SRAI:
+	case o1 == SLLI && o2 == SRAI:
 		kind = kSlliSrai
 	default:
 		return tstep{}, false
 	}
+	// The executors attribute a fault in the first half to off and one in
+	// the second half to off+1. Pairs that touch memory in both halves
+	// need the halves at adjacent pcs; a pure first half cannot fault, so
+	// off is placed one before the second half's pc. In a block body both
+	// rules hold trivially (off+1 is the second half's pc).
+	off := s1.off
+	switch kind {
+	case kLdLd, kStSt, kLdSt, kStLd:
+		if s2.off != s1.off+1 {
+			return tstep{}, false
+		}
+	case kAndiLd, kAddiLd, kMovLd, kMovSt, kAddiSt:
+		off = s2.off - 1
+	}
 	return tstep{
-		kind: kind, n: 2,
-		rd: zdst(d1.Rd), rs1: d1.Rs1 & 31, rs2: d1.Rs2 & 31, imm: d1.Imm,
-		rd2: zdst(d2.Rd), rs3: d2.Rs1 & 31, tag: d2.Rs2 & 31, imm2: d2.Imm,
-		off: int32(i),
+		kind: kind, n: s1.n + s2.n,
+		rd: s1.rd, rs1: s1.rs1, rs2: s1.rs2, imm: s1.imm,
+		rd2: s2.rd, rs3: s2.rs1, tag: s2.rs2, imm2: s2.imm,
+		off: off,
 	}, true
 }
 

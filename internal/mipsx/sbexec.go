@@ -5,11 +5,10 @@ package mipsx
 // execSteps runs a formed superblock's flattened stream (superblock.go)
 // against the block loop's working register file and memory. Its switch
 // covers every kind a stream can hold: the block kinds, the edge
-// pseudo-steps, and the kinds the dataflow pass produces (kAndLd and the
-// check-elided *NC accesses). A step that faults, fails a tag or granule
-// check, or takes an arithmetic trap records what happened in a stepExit
-// and execSteps returns that step's index; a cold edge does the same with
-// why == abSide. A completed run returns -1. The block loop (runBlocks)
+// pseudo-steps, and the check-elided *NC accesses the dataflow pass
+// produces. A step that faults, fails a tag or granule check, or takes an
+// arithmetic trap records what happened in a stepExit and execSteps
+// returns that step's index; a cold edge does the same with why == abSide. A completed run returns -1. The block loop (runBlocks)
 // maps an early exit to the element holding the step and finishes it on
 // its ordinary body-abort, slot-fault or terminator paths.
 //
@@ -446,15 +445,6 @@ dispatch:
 			mem[w+2] = r[uint8(v>>16)]
 			mem[w+3] = r[uint8(v>>24)]
 
-		case kAndLd:
-			r[s.rd] = r[s.rs1] & r[s.rs2]
-			addr := uint32(int32(r[s.rs3]) + s.imm2)
-			if addr&3 != 0 || int(addr>>2) >= len(mem) {
-				x.memFault(s.off+1, addr, true)
-				return si - 1
-			}
-			r[s.rd2] = mem[addr>>2]
-
 		case kLdcNC, kStcNC:
 			// LDC/STC minus the tag check an earlier identical check
 			// proved redundant; address masking and fault semantics are
@@ -583,21 +573,6 @@ dispatch:
 				x.side(s.rd2, taken)
 				return si - 1
 			}
-
-		case kEdgeSrliBnei:
-			v := r[s.rs1] >> (uint32(s.imm) & 31)
-			r[s.rd] = v
-			if taken := int32(v) != s.imm2; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
-			}
-
-		case kEdgeBneiAnd:
-			if taken := int32(r[s.rs1]) != s.imm; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
-			}
-			r[s.rd] = r[s.tag] & r[s.rs2]
 
 		default:
 			x.fault(s.off, "bad opcode %v", Op(s.kind))

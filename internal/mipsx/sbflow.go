@@ -1,7 +1,7 @@
 package mipsx
 
 // Superblock dataflow: value-numbering availability analysis, tag-check
-// elision, and cross-block refusion over the flattened stream.
+// elision, and fusion of the surviving steps.
 //
 // formSuperblock rebuilds each element's body as single-instruction units
 // straight from the program's instructions and hands the whole flat sequence to
@@ -33,77 +33,25 @@ package mipsx
 //     host dispatches, and those are counted honestly in
 //     NativeStats.ElidedChecks via the same exit-site expansion.
 //
-//  2. Refusion. The surviving units are re-fused with the block
-//     translator's peephole table, but across former block boundaries:
-//     elision opens adjacencies (a dropped check puts its neighbors side
-//     by side) that block-local fusion could never see. Memory-pair kinds
-//     whose executors attribute faults to textually adjacent pcs are only
-//     formed when the halves really are adjacent; pairs with a pure first
-//     half borrow the step's otherwise-unused off field so the faultable
-//     second half still reports its exact source pc.
+//  2. Fusion. Each element's surviving body units, and its delay-slot
+//     units, are packed with the block translator's own peephole fuser
+//     (fuseRegion), so a stream holds the block kinds and no others.
+//     Runs and pairs never span two elements; only the mov-run merge
+//     joins adjacent body steps of different elements (where no edge or
+//     slot step separates them), and MOVs cannot fault, so a faulting
+//     step always belongs to the element its index falls in.
 //
-//  3. Edge fusion. The hottest remaining dispatch shapes around guards
-//     are collapsed: the software tag-check idiom's srli feeding a bnei
-//     edge becomes one kEdgeSrliBnei step, a bnei edge followed by the
-//     next element's leading and (the untag that follows a passed check)
-//     becomes kEdgeBneiAnd with the and performed only after the guard
-//     passes, and the jr+ADDI return fold from the original formation is
-//     reapplied here.
+//  3. The jr+ADDI return fold (foldJrSlots).
+//
+// Fusing across element boundaries, with its own pair kinds and edge
+// fusions, was measured and removed: it won nothing over element-local
+// fusion (EXPERIMENTS.md, "Superblock dataflow ablation").
 //
 // The pass runs only on superblock streams — private copies — never on
 // the shared per-block steps the translated engine executes, so the
 // engine being used as the speedup denominator is untouched.
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-	"sync/atomic"
-)
-
-// SBOpt toggles individual superblock dataflow passes, for ablation
-// benchmarks and the difftest dataflow-equivalence invariant. Settings
-// affect superblocks formed after the call; build a fresh image (or
-// Program) to measure a setting from a cold start.
-type SBOpt struct {
-	NoElide  bool // keep every check and redundant op in the stream
-	NoRefuse bool // fuse only within one element, original kinds only
-}
-
-var sbOptP atomic.Pointer[SBOpt]
-
-// SetSBOpt installs o for subsequently formed superblocks.
-func SetSBOpt(o SBOpt) { sbOptP.Store(&o) }
-
-// CurSBOpt returns the current superblock dataflow settings.
-func CurSBOpt() SBOpt {
-	if p := sbOptP.Load(); p != nil {
-		return *p
-	}
-	return SBOpt{}
-}
-
-// ParseSBOpt parses a comma-separated ablation list ("noelide,norefuse",
-// empty for the defaults), the spelling the SIM_SBOPT
-// environment variable and the benchmark harnesses use.
-func ParseSBOpt(s string) (SBOpt, error) {
-	var o SBOpt
-	if s == "" {
-		return o, nil
-	}
-	for _, f := range strings.Split(s, ",") {
-		switch strings.TrimSpace(f) {
-		case "":
-		case "noelide":
-			o.NoElide = true
-		case "norefuse":
-			o.NoRefuse = true
-		default:
-			return o, fmt.Errorf("unknown superblock ablation %q (want noelide or norefuse)", f)
-		}
-	}
-	return o, nil
-}
+import "math/bits"
 
 // sbUnit is one stream step during formation, tagged with the element it
 // came from and whether it is a delay-slot step (slots never fuse with
@@ -114,20 +62,16 @@ type sbUnit struct {
 	slot bool
 }
 
-// optimizeUnits runs elision, refusion and edge fusion over the stream
-// units of sb, using a as the analysis state, and stores the result in sb:
-// the exactly sized step stream, each element's step ranges and elided
-// count, and the static pass totals.
-func optimizeUnits(sb *sblock, units []sbUnit, a *vnAn, sig *nsig, opt SBOpt) {
+// optimizeUnits runs elision, fusion and the jr+ADDI fold over sc.units,
+// the stream units of sb, using sc's analysis state, and stores the result
+// in sb: the exactly sized step stream, each element's step ranges and
+// elided count, and the static pass totals.
+func optimizeUnits(sb *sblock, sc *sbScratch, sig *nsig) {
+	units := sc.units
 	sb.rawSteps = int32(len(units))
-	if !opt.NoElide {
-		a.reset(sig)
-		units = elideUnits(units, sb, a)
-	}
-	units = refuseUnits(units, !opt.NoRefuse)
-	if !opt.NoRefuse {
-		units = fuseEdgeUnits(units)
-	}
+	sc.an.reset(sig)
+	units = elideUnits(units, sb, &sc.an)
+	units = fuseUnits(units, &sc.fuse)
 	units = foldJrSlots(units)
 
 	sb.steps = make([]tstep, len(units))
@@ -663,260 +607,43 @@ func elideUnits(units []sbUnit, sb *sblock, a *vnAn) []sbUnit {
 	return out
 }
 
-// unitRunLen measures a packable save/restore run over units: the same
-// rule as memRunLen, plus textual adjacency (the run executor attributes
-// a slow-path fault to off+k).
-func unitRunLen(units []sbUnit, i, end int) int {
-	s0 := &units[i].s
-	op := Op(s0.kind)
-	if op != LD && op != ST {
-		return 0
-	}
-	n := 1
-	for n < 4 && i+n < end {
-		s := &units[i+n].s
-		if s.kind != s0.kind || s.rs1 != s0.rs1 ||
-			s.imm != s0.imm+int32(4*n) || s.off != s0.off+int32(n) {
-			break
-		}
-		if op == LD && units[i+n-1].s.rd == s0.rs1 {
-			break
-		}
-		n++
-	}
-	if n < 3 {
-		return 0
-	}
-	return n
-}
-
-// unitRunStep packs a measured run into one kLd3/kLd4/kSt3/kSt4 step.
-func unitRunStep(units []sbUnit, i, n int) tstep {
-	s0 := &units[i].s
-	s := tstep{rs1: s0.rs1, imm: s0.imm, off: s0.off}
-	var packed uint32
-	var cover uint8
-	for k := 0; k < n; k++ {
-		e := &units[i+k].s
-		reg := e.rd
-		if Op(s0.kind) == ST {
-			reg = e.rs2
-		}
-		packed |= uint32(reg) << (8 * k)
-		cover += e.n
-	}
-	s.n = cover
-	s.imm2 = int32(packed)
-	switch {
-	case Op(s0.kind) == LD && n == 3:
-		s.kind = kLd3
-	case Op(s0.kind) == LD && n == 4:
-		s.kind = kLd4
-	case Op(s0.kind) == ST && n == 3:
-		s.kind = kSt3
-	default:
-		s.kind = kSt4
-	}
-	return s
-}
-
-// fuseUnitPair applies the translator's pair table to two stream units.
-// Pairs whose executors touch memory in both halves attribute faults to
-// off and off+1, so they require textual adjacency; a pure first half
-// instead repositions off so the faultable second half keeps its exact pc.
-func fuseUnitPair(s1, s2 *tstep, newKinds bool) (tstep, bool) {
-	if s1.kind >= uint8(numOps) || s2.kind >= uint8(numOps) {
-		return tstep{}, false
-	}
-	o1, o2 := Op(s1.kind), Op(s2.kind)
-	var kind uint8
-	switch {
-	case o1 == SRLI && o2 == ANDI:
-		kind = kSrliAndi
-	case o1 == SLLI && o2 == ORI:
-		kind = kSlliOri
-	case o1 == MOV && o2 == MOV:
-		kind = kMovMov
-	case o1 == ANDI && o2 == LD:
-		kind = kAndiLd
-	case o1 == ADDI && o2 == LD:
-		kind = kAddiLd
-	case o1 == AND && o2 == LD && newKinds:
-		kind = kAndLd
-	case o1 == LD && o2 == LD:
-		kind = kLdLd
-	case o1 == ST && o2 == ST:
-		kind = kStSt
-	case o1 == MOV && o2 == LD:
-		kind = kMovLd
-	case o1 == LD && o2 == MOV:
-		kind = kLdMov
-	case o1 == LD && o2 == ST:
-		kind = kLdSt
-	case o1 == ST && o2 == LD:
-		kind = kStLd
-	case o1 == ST && o2 == MOV:
-		kind = kStMov
-	case o1 == MOV && o2 == ST:
-		kind = kMovSt
-	case o1 == ADDI && o2 == ST:
-		kind = kAddiSt
-	case o1 == LD && o2 == SRLI:
-		kind = kLdSrli
-	case o1 == MOV && o2 == SRLI:
-		kind = kMovSrli
-	case o1 == LD && o2 == ADDI:
-		kind = kLdAddi
-	case o1 == ST && o2 == LI:
-		kind = kStLi
-	case o1 == LI && o2 == OR:
-		kind = kLiOr
-	case o1 == OR && o2 == ADDI:
-		kind = kOrAddi
-	case o1 == SLLI && o2 == SRAI:
-		kind = kSlliSrai
-	default:
-		return tstep{}, false
-	}
-	off := s1.off
-	switch kind {
-	case kLdLd, kStSt, kLdSt, kStLd:
-		if s2.off != s1.off+1 {
-			return tstep{}, false
-		}
-	case kAndiLd, kAddiLd, kAndLd, kMovLd, kMovSt, kAddiSt:
-		off = s2.off - 1 // pure first half: fault pc is off+1 == s2.off
-	}
-	return tstep{
-		kind: kind, n: s1.n + s2.n,
-		rd: s1.rd, rs1: s1.rs1, rs2: s1.rs2, imm: s1.imm,
-		rd2: s2.rd, rs3: s2.rs1, tag: s2.rs2, imm2: s2.imm,
-		off: off,
-	}, true
-}
-
-// refuseUnits re-fuses the stream. With cross set, regions of consecutive
-// body units extend across element boundaries and the new pair kinds are
-// allowed; otherwise fusion is element-local with the original table
-// (the no-refusion ablation baseline, matching block-level fusion). Edge
-// units always break regions; delay-slot units form their own regions so
-// a slot never fuses with body or edge steps.
-func refuseUnits(units []sbUnit, cross bool) []sbUnit {
+// fuseUnits packs the stream with fuseRegion, one region at a time: the
+// consecutive body units of one element, or the delay-slot units of one
+// element (a slot never fuses with a body or edge step, so a slot fault
+// keeps attributing to a slot pc). Edge and check-elided units pass
+// through. Adjacent body steps then get the mov-run merge (mergeMovs),
+// which may join two elements' steps where nothing separates them. buf is
+// the caller's scratch for one region.
+func fuseUnits(units []sbUnit, buf *[]tstep) []sbUnit {
 	out := units[:0]
 	for lo := 0; lo < len(units); {
-		u0 := &units[lo]
+		u0 := units[lo]
 		hi := lo + 1
-		if u0.s.kind < uint8(numOps) {
-			for hi < len(units) {
-				u := &units[hi]
-				if u.s.kind >= uint8(numOps) || u.slot != u0.slot ||
-					(!cross && u.elem != u0.elem) ||
-					(u0.slot && u.elem != u0.elem) {
-					break
-				}
-				hi++
-			}
-		}
-		out = refuseRegion(out, units, lo, hi, cross)
-		lo = hi
-	}
-	return fuseUnitMovRuns(out)
-}
-
-// refuseRegion greedily packs [lo, hi): save/restore runs first, then
-// pairs, then singles, mirroring fuseSteps.
-func refuseRegion(out, units []sbUnit, lo, hi int, newKinds bool) []sbUnit {
-	for i := lo; i < hi; {
-		if n := unitRunLen(units, i, hi); n >= 3 {
-			out = append(out, sbUnit{
-				s: unitRunStep(units, i, n), elem: units[i].elem, slot: units[i].slot,
-			})
-			i += n
+		if u0.s.kind >= uint8(numOps) {
+			out = append(out, u0)
+			lo = hi
 			continue
 		}
-		if i+1 < hi {
-			if s, ok := fuseUnitPair(&units[i].s, &units[i+1].s, newKinds); ok {
-				out = append(out, sbUnit{s: s, elem: units[i].elem, slot: units[i].slot})
-				i += 2
-				continue
-			}
+		for hi < len(units) && units[hi].s.kind < uint8(numOps) &&
+			units[hi].elem == u0.elem && units[hi].slot == u0.slot {
+			hi++
 		}
-		out = append(out, units[i])
-		i++
+		steps := (*buf)[:0]
+		for i := lo; i < hi; i++ {
+			steps = append(steps, units[i].s)
+		}
+		*buf = steps
+		for _, s := range fuseRegion(steps) {
+			out = append(out, sbUnit{s: s, elem: u0.elem, slot: u0.slot})
+		}
+		lo = hi
 	}
-	return out
-}
-
-// fuseUnitMovRuns is the second-level mov merge from fuseMovRuns, applied
-// to adjacent body units (slots excluded, as in block translation where
-// slots never reach this pass).
-func fuseUnitMovRuns(units []sbUnit) []sbUnit {
-	out := units[:0]
+	units = out
+	out = units[:0]
 	for i := 0; i < len(units); i++ {
 		u := units[i]
-		s := &u.s
-		if i+1 < len(units) && !u.slot && !units[i+1].slot {
-			t := &units[i+1].s
-			switch {
-			case s.kind == kMovMov && t.kind == kMovMov:
-				s.kind = kMov4
-				s.rs2, s.tag = t.rd, t.rs1
-				s.imm = int32(uint32(t.rd2) | uint32(t.rs3)<<8)
-				s.n += t.n
-				i++
-			case s.kind == kMovMov && t.kind == uint8(MOV):
-				s.kind = kMov3
-				s.rs2, s.tag = t.rd, t.rs1
-				s.n += t.n
-				i++
-			case s.kind == uint8(MOV) && t.kind == kMovMov:
-				s.kind = kMov3
-				s.rd2, s.rs3 = t.rd, t.rs1
-				s.rs2, s.tag = t.rd2, t.rs3
-				s.n += t.n
-				i++
-			}
-		}
-		out = append(out, u)
-	}
-	return out
-}
-
-// fuseEdgeUnits collapses the hottest guard-adjacent shapes. The srli half
-// of kEdgeSrliBnei belongs to the same element as its edge, so its write
-// has always happened when a side exit charges that element's full body.
-// The and half of kEdgeBneiAnd belongs to the *next* element and executes
-// only after the guard passes — a side exit leaves it to the per-block
-// path — which is only sound when no delay-slot steps sit between the
-// edge and the next body (slots run before the next element's body).
-func fuseEdgeUnits(units []sbUnit) []sbUnit {
-	out := units[:0]
-	for i := 0; i < len(units); i++ {
-		u := units[i]
-		s := &u.s
-		if i+1 < len(units) {
-			t := &units[i+1].s
-			switch {
-			case s.kind == uint8(SRLI) && !u.slot &&
-				t.kind == kEdgeOp0+uint8(BNEI-BEQ) &&
-				units[i+1].elem == u.elem && t.rs1 == s.rd:
-				u.s = tstep{
-					kind: kEdgeSrliBnei, n: s.n + t.n,
-					rd: s.rd, rs1: s.rs1, imm: s.imm,
-					imm2: t.imm, rd2: t.rd2, rs3: t.rs3, off: t.off,
-				}
-				u.elem = units[i+1].elem
-				i++
-			case s.kind == kEdgeOp0+uint8(BNEI-BEQ) &&
-				t.kind == uint8(AND) && !units[i+1].slot &&
-				units[i+1].elem == u.elem+1:
-				u.s = tstep{
-					kind: kEdgeBneiAnd, n: s.n + t.n,
-					rs1: s.rs1, imm: s.imm, rd2: s.rd2, rs3: s.rs3,
-					rd: t.rd, tag: t.rs1, rs2: t.rs2, off: s.off,
-				}
-				i++
-			}
+		if i+1 < len(units) && !u.slot && !units[i+1].slot && mergeMovs(&u.s, &units[i+1].s) {
+			i++
 		}
 		out = append(out, u)
 	}

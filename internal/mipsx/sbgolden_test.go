@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -21,57 +22,102 @@ import (
 // only makes formation cheaper must leave every line as it is.
 const streamGolden = "testdata/streams.golden"
 
+// blockGolden holds one SHA-256 per (program, configuration) over every
+// block the same runs translate (mipsx.BlockDigest: each block's steps and
+// fused-step count), plus the block count. It pins the block translator's
+// peephole fusion, which superblock formation shares.
+const blockGolden = "testdata/blocks.golden"
+
 // streamConfigs covers the high-tag and low-tag software-checking paths
 // and the memory-tagging granule checks.
 var streamConfigs = []string{"high5+check", "low3+check", "high5+check+memtag"}
 
-// TestSuperblockStreamGolden runs every benchmark program cold on the
-// native engine under each of streamConfigs and compares the formed
-// streams with the golden. On a mismatch the log holds the full set of
-// current lines in the golden's format.
+// goldenCell is one (program, configuration) of the goldens, run once.
+type goldenCell struct {
+	key  string
+	prog *mipsx.Program
+}
+
+var (
+	goldenOnce  sync.Once
+	goldenCells []goldenCell
+	goldenErr   error
+)
+
+// runGoldenCells runs every benchmark program cold on the native engine
+// under each of streamConfigs, once per test binary; both goldens hash
+// the programs these runs leave behind.
+func runGoldenCells(t *testing.T) []goldenCell {
+	t.Helper()
+	goldenOnce.Do(func() {
+		for _, p := range programs.All() {
+			for _, name := range streamConfigs {
+				cfg, err := core.ParseConfig(name)
+				if err != nil {
+					goldenErr = err
+					return
+				}
+				img, err := rt.Build(p.Source, rt.BuildOptions{
+					Scheme: cfg.Scheme, HW: cfg.HW, Checking: cfg.Checking, HeapWords: p.HeapWords,
+				})
+				if err != nil {
+					goldenErr = fmt.Errorf("%s %s: %v", p.Name, name, err)
+					return
+				}
+				m := img.NewMachine()
+				m.MaxCycles = 2_000_000_000
+				if err := m.RunNative(); err != nil {
+					goldenErr = fmt.Errorf("%s %s: %v", p.Name, name, err)
+					return
+				}
+				goldenCells = append(goldenCells, goldenCell{p.Name + " " + name, img.Prog})
+			}
+		}
+	})
+	if goldenErr != nil {
+		t.Fatal(goldenErr)
+	}
+	return goldenCells
+}
+
+// TestSuperblockStreamGolden compares the streams each golden cell forms
+// with the golden. On a mismatch the log holds the full set of current
+// lines in the golden's format.
 func TestSuperblockStreamGolden(t *testing.T) {
-	want := readStreamGolden(t)
+	checkGolden(t, streamGolden, "streams", mipsx.SuperblockDigest)
+}
+
+// TestBlockStepGolden compares the blocks each golden cell translates
+// with the golden, the same way.
+func TestBlockStepGolden(t *testing.T) {
+	checkGolden(t, blockGolden, "blocks", mipsx.BlockDigest)
+}
+
+func checkGolden(t *testing.T, path, what string, digestOf func(*mipsx.Program) (string, int)) {
+	want := readGolden(t, path)
 	var got []string
-	for _, p := range programs.All() {
-		for _, name := range streamConfigs {
-			cfg, err := core.ParseConfig(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img, err := rt.Build(p.Source, rt.BuildOptions{
-				Scheme: cfg.Scheme, HW: cfg.HW, Checking: cfg.Checking, HeapWords: p.HeapWords,
-			})
-			if err != nil {
-				t.Fatalf("%s %s: %v", p.Name, name, err)
-			}
-			m := img.NewMachine()
-			m.MaxCycles = 2_000_000_000
-			if err := m.RunNative(); err != nil {
-				t.Fatalf("%s %s: %v", p.Name, name, err)
-			}
-			digest, n := mipsx.SuperblockDigest(img.Prog)
-			if n == 0 {
-				t.Errorf("%s %s: no superblocks formed", p.Name, name)
-			}
-			key := p.Name + " " + name
-			line := fmt.Sprintf("%s %d %s", key, n, digest)
-			got = append(got, line)
-			if want[key] != line {
-				t.Errorf("%s: streams %d %s, golden %q", key, n, digest, want[key])
-			}
+	for _, c := range runGoldenCells(t) {
+		digest, n := digestOf(c.prog)
+		if n == 0 {
+			t.Errorf("%s: no %s", c.key, what)
+		}
+		line := fmt.Sprintf("%s %d %s", c.key, n, digest)
+		got = append(got, line)
+		if want[c.key] != line {
+			t.Errorf("%s: %s %d %s, golden %q", c.key, what, n, digest, want[c.key])
 		}
 	}
 	if len(got) != len(want) {
 		t.Errorf("ran %d cells, golden has %d", len(got), len(want))
 	}
 	if t.Failed() {
-		t.Logf("current streams:\n%s", strings.Join(got, "\n"))
+		t.Logf("current %s:\n%s", what, strings.Join(got, "\n"))
 	}
 }
 
-func readStreamGolden(t *testing.T) map[string]string {
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.FromSlash(streamGolden))
+	f, err := os.Open(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatal(err)
 	}

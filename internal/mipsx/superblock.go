@@ -91,20 +91,6 @@ const kEdgeJrA uint8 = 95
 // direction is taken.
 const kEdgeOp0 uint8 = 99
 
-// kEdgeSrliBnei fuses the software tag-check idiom's tag extract into its
-// compare edge: rd ← rs1 >> imm (a body write of the edge's own element,
-// performed unconditionally, exactly as the separate srli step would),
-// then the bnei edge tests the extracted value against imm2. rd2/rs3 as
-// in the kEdgeOp0 kinds.
-const kEdgeSrliBnei uint8 = 111
-
-// kEdgeBneiAnd fuses a bnei edge with the *next* element's leading and
-// (the untag that follows a passed software tag check): the guard runs
-// first — rs1/imm/rd2/rs3 as in the kEdgeOp0 kinds — and only when it
-// passes is rd ← tag & rs2 performed, so a side exit leaves the next
-// element's state untouched for the per-block path.
-const kEdgeBneiAnd uint8 = 112
-
 // edgeKind picks the edge pseudo-step kind for a conditional branch (an
 // op with IsCond, the only ops a termCond terminator holds).
 func edgeKind(op Op) uint8 { return kEdgeOp0 + uint8(op-BEQ) }
@@ -237,6 +223,7 @@ type sbScratch struct {
 	path   []sbWalked
 	rstack []int32
 	units  []sbUnit
+	fuse   []tstep // one element's units while fuseUnits packs them
 	an     vnAn
 }
 
@@ -437,8 +424,8 @@ walk:
 	sb.fullCyc, sb.maxCyc = cyc, maxCyc
 	sc.units = units
 
-	// The dataflow pass: elision, cross-element refusion, edge fusion.
-	optimizeUnits(sb, units, &sc.an, &np.sig, CurSBOpt())
+	// The dataflow pass: elision, element-local fusion, the jr+ADDI fold.
+	optimizeUnits(sb, sc, &np.sig)
 	sb.exitBase = np.exitLen.Load()
 	np.exitLen.Store(sb.exitBase + int32(len(sb.elems)) + 1)
 

@@ -1314,21 +1314,6 @@ loop:
 					j++
 				}
 				e := &sb.elems[j]
-				if idx < e.slotLo {
-					// The dataflow pass fuses body steps across termFall
-					// element boundaries, so a fused step indexed in
-					// element j can fault in its second half's pc, which
-					// belongs to a later element. The faulting pc decides:
-					// every element the pc skips past was fully executed
-					// (spanning only crosses fall-through boundaries, whose
-					// terminators cost no cycles and cover no
-					// instructions). Slots never fuse across elements, so
-					// the slot path below is exempt.
-					for int(j)+1 < len(sb.elems) && !e.b.coversPC(int32(br.x.fpc)) {
-						j++
-						e = &sb.elems[j]
-					}
-				}
 				m.markSBExit(sb, j)
 				b = e.b
 				bc = m.growBctr(b.id)
@@ -1493,14 +1478,6 @@ func memFault(addr uint32, isLoad bool) (string, []any) {
 		return "misaligned store at %#x", []any{addr}
 	}
 	return "store out of range at %#x", []any{addr}
-}
-
-// coversPC reports whether pc lies in the block's body. Used by the
-// native engine's fault path to attribute a fault inside a fused stream
-// step that spans a fall-through element boundary to the element whose
-// block actually contains the faulting instruction.
-func (b *tblock) coversPC(pc int32) bool {
-	return pc >= b.start && pc < b.start+b.bodyLen
 }
 
 // accountPrefix re-charges instructions [start, j] one at a time after a

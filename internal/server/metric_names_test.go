@@ -112,10 +112,32 @@ func TestMetricNamesGolden(t *testing.T) {
 
 // TestMetricSeriesBounded pins that clients cannot mint metric series:
 // requests to distinct unknown paths, with made-up methods on a known
-// path, and with distinct inline sources all land in series that already
-// exist after the first request of each kind.
+// path, with distinct inline sources, distinct searched scheme specs and
+// distinct hardware combinations all land in series that already exist
+// after the first request of each kind.
 func TestMetricSeriesBounded(t *testing.T) {
 	s, ts := testServer(t, Options{})
+	// Searched schemes: the low 3-bit layout with its five heap-type tags
+	// permuted (each a valid spec), and memory-tagging geometries other
+	// than the default one.
+	var specs, hws []string
+	var permute func(prefix string, rest []string)
+	permute = func(prefix string, rest []string) {
+		if len(rest) == 0 {
+			specs = append(specs, "xl3:"+prefix+"0.7")
+		}
+		for i, r := range rest {
+			permute(prefix+r+".", append(append([]string(nil), rest[:i]...), rest[i+1:]...))
+		}
+	}
+	permute("", []string{"1", "2", "3", "5", "6"})
+	for g := 3; g <= 6; g++ {
+		for w := 1; w <= 8; w++ {
+			if g != 3 || w != 4 {
+				hws = append(hws, fmt.Sprintf("high5+memtag+mtg%d+mtw%d", g, w))
+			}
+		}
+	}
 	series := func() int {
 		snap := s.Runner().Metrics.Snapshot()
 		return len(snap.Counters) + len(snap.Histograms)
@@ -137,10 +159,12 @@ func TestMetricSeriesBounded(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("made-up method status %d, want 405", resp.StatusCode)
 		}
-		if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{
-			"source": fmt.Sprintf("(+ %d 1)", i), "config": "high5",
-		}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("inline run status %d: %s", resp.StatusCode, body)
+		for _, config := range []string{"high5", specs[i], hws[i]} {
+			if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{
+				"source": fmt.Sprintf("(+ %d 1)", i), "config": config,
+			}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("inline run under %s: status %d: %s", config, resp.StatusCode, body)
+			}
 		}
 	}
 
@@ -150,19 +174,21 @@ func TestMetricSeriesBounded(t *testing.T) {
 		round(i)
 	}
 	if after := series(); after != before {
-		t.Errorf("20 rounds of distinct paths, methods and sources grew the series %d → %d", before, after)
+		t.Errorf("20 rounds of distinct paths, methods, sources and configs grew the series %d → %d", before, after)
 	}
 	snap := s.Runner().Metrics.Snapshot()
 	if got := snap.Counters["http_requests_total/other"]; got != 42 {
 		t.Errorf("http_requests_total/other = %d, want 42", got)
 	}
-	if got := snap.Counters["http_requests_total/POST /v1/run"]; got != 21 {
-		t.Errorf("http_requests_total/POST /v1/run = %d, want 21", got)
+	if got := snap.Counters["http_requests_total/POST /v1/run"]; got != 63 {
+		t.Errorf("http_requests_total/POST /v1/run = %d, want 63", got)
 	}
-	if got := snap.Counters["runs_total"]; got != 21 {
-		t.Errorf("runs_total = %d, want 21 distinct inline runs", got)
+	if got := snap.Counters["runs_total"]; got != 63 {
+		t.Errorf("runs_total = %d, want 63 distinct inline runs", got)
 	}
-	if snap.Counters["cycles_total/inline/high5"] == 0 {
-		t.Error("no cycles_total/inline/high5 series")
+	for _, name := range []string{"cycles_total/inline/high5", "cycles_total/inline/other"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("no %s series", name)
+		}
 	}
 }
