@@ -11,7 +11,9 @@
 // pass and fails if the translated engine falls under 2.0x the reference
 // engine, the native engine under 1.5x the translated one, or cold native
 // under 1.0x cold translated (geometric means over the benchmark
-// programs) — the CI guard against an engine regression.
+// programs) — the CI guard against an engine regression. Both outputs
+// print each engine's geometric-mean Minstr/s, warm and cold, under the
+// ratios.
 package main
 
 import (
@@ -199,6 +201,7 @@ func runSmoke(benchtime, out string) error {
 	}
 	fmt.Printf("geomean native/translated: %.2fx, translated/reference: %.2fx, cold native/translated: %.2fx\n",
 		naTr, trRef, coldNaTr)
+	fmt.Println(absLine(warm, cold))
 	return smokeFloors(naTr, trRef, coldNaTr)
 }
 
@@ -307,11 +310,46 @@ func printComparison(doc *Doc) {
 	trRef := geomeanRatio(byEngine["translated"], byEngine["reference"], nil)
 	fmt.Printf("geomean native/translated: %.2fx, translated/reference: %.2fx over %d programs\n",
 		naTr, trRef, len(order))
+	cold := minstrBy(doc.Cold)
 	if len(doc.Cold) > 0 {
-		cold := minstrBy(doc.Cold)
 		fmt.Printf("geomean cold native/translated: %.2fx\n",
 			geomeanRatio(cold["native"], cold["translated"], nil))
 	}
+	fmt.Println(absLine(byEngine, cold))
+}
+
+// absLine prints each engine's geometric-mean Minstr/s, warm and (when
+// measured) cold, next to the ratios: a ratio can rise because its
+// baseline sank, which only the absolute numbers show.
+func absLine(warm, cold map[string]map[string]float64) string {
+	part := func(label string, by map[string]map[string]float64, engs []string) string {
+		var fs []string
+		for _, e := range engs {
+			fs = append(fs, fmt.Sprintf("%s %.1f", e, geomean(by[e])))
+		}
+		return label + ": " + strings.Join(fs, ", ")
+	}
+	line := "geomean Minstr/s, " + part("warm", warm, engines)
+	if len(cold) > 0 {
+		line += "; " + part("cold", cold, coldEngines)
+	}
+	return line
+}
+
+// geomean is the geometric mean of the positive values of m, or 0 when it
+// has none.
+func geomean(m map[string]float64) float64 {
+	logSum, n := 0.0, 0
+	for _, v := range m {
+		if v > 0 {
+			logSum += math.Log(v)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Exp(logSum / float64(n))
 }
 
 // minstrBy indexes Minstr/s by engine, then program.

@@ -127,6 +127,29 @@ PASS
 	}
 }
 
+// TestAbsLine pins the absolute numbers printed next to the ratios: each
+// engine's geometric-mean Minstr/s, warm and cold, with the cold half
+// absent when the run has no cold row.
+func TestAbsLine(t *testing.T) {
+	warm := map[string]map[string]float64{
+		"native":     {"boyer": 200, "trav": 50},
+		"translated": {"boyer": 120, "trav": 30},
+		"reference":  {"boyer": 40, "trav": 10, "comp": 0}, // comp: not measured, skipped
+	}
+	cold := map[string]map[string]float64{
+		"native":     {"boyer": 90},
+		"translated": {"boyer": 60},
+	}
+	want := "geomean Minstr/s, warm: native 100.0, translated 60.0, reference 20.0; cold: native 90.0, translated 60.0"
+	if got := absLine(warm, cold); got != want {
+		t.Errorf("absLine = %q\nwant      %q", got, want)
+	}
+	want = "geomean Minstr/s, warm: native 100.0, translated 60.0, reference 20.0"
+	if got := absLine(warm, nil); got != want {
+		t.Errorf("absLine without a cold row = %q\nwant %q", got, want)
+	}
+}
+
 func TestLatestBenchFile(t *testing.T) {
 	dir := t.TempDir()
 	cwd, _ := os.Getwd()

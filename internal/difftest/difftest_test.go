@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -44,14 +45,28 @@ func TestSpectrumCoverage(t *testing.T) {
 // TestDifferentialSweep is the deterministic tier-1 campaign: 240 generated
 // programs, each checked under one spectrum point (rotating so every config
 // is exercised six times), plus monotonicity and cache-replay subsets.
+// It pins the seeds Check compares less than everything for, and why: two
+// programs never terminate, so nothing is compared, and 17 of the 24 that
+// land on an unchecked config (every tenth seed does) error or box floats,
+// so the engines are compared with each other but the interpreter's
+// verdict does not apply.
 func TestDifferentialSweep(t *testing.T) {
 	spec := Spectrum()
 	opt := Options{}
 	const seeds = 240
+	want := map[uint64]string{125: censorNonterminating, 199: censorNonterminating}
+	for _, seed := range []uint64{20, 30, 40, 50, 60, 70, 90, 110, 120, 150, 170, 180, 200, 210, 220, 230, 240} {
+		want[seed] = censorUnchecked
+	}
+	censored := map[uint64]string{}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		src := Generate(NewSeeded(seed))
 		cfg := spec[int(seed)%len(spec)]
-		if f := Check(src, cfg, opt); f != nil {
+		f, why := check(src, cfg, opt)
+		if why != "" {
+			censored[seed] = why
+		}
+		if f != nil {
 			t.Errorf("seed %d: %v\nprogram:\n%s", seed, f, src)
 			if testing.Short() || t.Failed() {
 				min := Minimize(src, func(s string) bool {
@@ -61,6 +76,9 @@ func TestDifferentialSweep(t *testing.T) {
 				t.Fatalf("seed %d minimized reproducer under %s:\n%s", seed, cfg, min)
 			}
 		}
+	}
+	if !maps.Equal(censored, want) {
+		t.Errorf("censored seeds %v, want %v", censored, want)
 	}
 }
 

@@ -147,20 +147,36 @@ func runEngine(img *rt.Image, maxCycles uint64, engine mipsx.Engine) machineRun 
 //     behavior there: the engines still have to agree with each other, but
 //     the interpreter's verdict is not compared.
 func Check(src string, cfg core.Config, opt Options) *Failure {
+	f, _ := check(src, cfg, opt)
+	return f
+}
+
+// Why check compared less than Check's full list of properties.
+const (
+	censorNonterminating = "the interpreter did not terminate"
+	censorStaticLimit    = "past the compiler's static limits"
+	censorCycleLimit     = "an unchecked run that errs or boxes floats reached the cycle limit"
+	censorUnchecked      = "an unchecked run that errs or boxes floats: engines compared, interpreter verdict not"
+)
+
+// check is Check that also says why it returned nil without comparing
+// everything: "" when it compared every property, one of the censor*
+// reasons otherwise. Only censorUnchecked still compares the engines.
+func check(src string, cfg core.Config, opt Options) (*Failure, string) {
 	opt = opt.withDefaults()
 	want := runOracle(src, opt.Steps, tags.New(cfg.Scheme).FixnumBits())
 	if want.diverged {
 		// The program (very probably) loops forever. Nothing after a
 		// censored run is comparable — even the two engines check the
 		// cycle limit at different granularities.
-		return nil
+		return nil, censorNonterminating
 	}
 	if want.err != nil && want.errc == 0 {
 		// Not a Lisp-level error: unreadable or unsupported program. The
 		// generator never produces these; arbitrary fuzz inputs are
 		// rejected here.
 		return &Failure{Kind: "oracle", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter rejected the program: %v", want.err)}
+			Detail: fmt.Sprintf("interpreter rejected the program: %v", want.err)}, ""
 	}
 
 	img, err := buildImage(src, cfg, opt)
@@ -170,10 +186,10 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 		// are out of scope, not divergences.
 		if strings.Contains(err.Error(), "out of fixnum range") ||
 			strings.Contains(err.Error(), "too many parameters") {
-			return nil
+			return nil, censorStaticLimit
 		}
 		return &Failure{Kind: "build", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter accepted but compiler rejected: %v", err)}
+			Detail: fmt.Sprintf("interpreter accepted but compiler rejected: %v", err)}, ""
 	}
 
 	ref := runEngine(img, opt.MaxCycles, mipsx.EngineReference)
@@ -186,51 +202,51 @@ func Check(src string, cfg core.Config, opt Options) *Failure {
 		// (Any engine hitting the limit censors the whole comparison: the
 		// engines enforce the limit at different granularities.)
 		if !cfg.Checking && (want.errc != 0 || want.floats) {
-			return nil
+			return nil, censorCycleLimit
 		}
 		return &Failure{Kind: "error", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter terminated, machine exceeded the cycle limit: %v", trans.err)}
+			Detail: fmt.Sprintf("interpreter terminated, machine exceeded the cycle limit: %v", trans.err)}, ""
 	}
 	if f := compareEngines("translated", &trans, &ref, cfg); f != nil {
-		return f
+		return f, ""
 	}
 	if f := compareEngines("native", &native, &ref, cfg); f != nil {
-		return f
+		return f, ""
 	}
 	for _, r := range []*machineRun{&ref, &trans, &native} {
 		if err := r.m.Stats.CheckInvariants(); err != nil {
-			return &Failure{Kind: "invariant", Config: cfg.String(), Detail: err.Error()}
+			return &Failure{Kind: "invariant", Config: cfg.String(), Detail: err.Error()}, ""
 		}
 	}
 
 	if !cfg.Checking && (want.errc != 0 || want.floats) {
-		return nil // undefined behavior without checking; engines still had to agree
+		return nil, censorUnchecked // undefined behavior without checking; engines still had to agree
 	}
 	if want.errc != 0 {
 		if trans.errc != int32(want.errc) {
 			return &Failure{Kind: "error", Config: cfg.String(),
 				Detail: fmt.Sprintf("interpreter error %d (%s), machine %v",
-					want.errc, mipsx.ErrorCodeName(int32(want.errc)), trans.err)}
+					want.errc, mipsx.ErrorCodeName(int32(want.errc)), trans.err)}, ""
 		}
-		return nil
+		return nil, ""
 	}
 	if trans.err != nil {
 		return &Failure{Kind: "error", Config: cfg.String(),
-			Detail: fmt.Sprintf("interpreter succeeded, machine failed: %v", trans.err)}
+			Detail: fmt.Sprintf("interpreter succeeded, machine failed: %v", trans.err)}, ""
 	}
 	if trans.m.Output.String() != want.output {
 		return &Failure{Kind: "output", Config: cfg.String(),
 			Detail: fmt.Sprintf("machine printed %q, interpreter %q",
-				trans.m.Output.String(), want.output)}
+				trans.m.Output.String(), want.output)}, ""
 	}
 	// The image decoder truncates beyond depth 64 ("..."); generated
 	// programs stay far below it, but arbitrary fuzz inputs may not, and a
 	// truncated rendering cannot be compared.
 	if trans.value != want.value && !strings.Contains(trans.value, "...") {
 		return &Failure{Kind: "value", Config: cfg.String(),
-			Detail: fmt.Sprintf("machine value %s, interpreter %s", trans.value, want.value)}
+			Detail: fmt.Sprintf("machine value %s, interpreter %s", trans.value, want.value)}, ""
 	}
-	return nil
+	return nil, ""
 }
 
 // compareEngines asserts bit-identical architectural outcomes between one

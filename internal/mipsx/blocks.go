@@ -172,9 +172,9 @@ type tterm struct {
 	target   int32
 	slot1    *Instr
 	slot2    *Instr
-	// The delay slots precompiled into dispatch steps (never fused, so a
-	// slot fault attributes to the right source pc), executed by the same
-	// dispatch loop as block bodies. Valid for termCond/termJump/termJumpInd
+	// The delay slots precompiled into steps (never fused, so a slot
+	// fault attributes to the right source pc), run by the same executor
+	// (execSteps) as block bodies. Valid for termCond/termJump/termJumpInd
 	// terminators whose slots are not both NOPs.
 	slots [2]tstep
 	taken outcome
@@ -303,7 +303,7 @@ func (p *Program) translate(start int) *tblock {
 
 // zdst remaps destination register 0 to the scratch slot past the
 // architectural file (RScratch): writes to the hardwired zero are discarded
-// by construction, so the dispatch loop needs no per-step zero restore.
+// by construction, so the step executor needs no per-step zero restore.
 func zdst(x uint8) uint8 {
 	x &= 31
 	if x == 0 {

@@ -6,9 +6,10 @@ import (
 )
 
 // runEngines executes p on the translated and native engines and asserts
-// every observable — statistics, registers, PC, memory, output, and any
-// error — is identical to a reference-engine run. It returns the translated
-// machine for additional assertions.
+// every observable — statistics, registers, PC, memory, output, any error
+// and the pending-branch state a fault leaves — is identical to a
+// reference-engine run, and that neither engine fell back to the
+// reference. It returns the translated machine for additional assertions.
 func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 	t.Helper()
 	ref := NewMachine(p, memWords, hw)
@@ -38,6 +39,13 @@ func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 		}
 		if m.PC != ref.PC {
 			t.Errorf("final PC diverges: %v %d, ref %d", e, m.PC, ref.PC)
+		}
+		if m.pendTarget != ref.pendTarget || m.pendCount != ref.pendCount || m.pendSquash != ref.pendSquash {
+			t.Errorf("pending branch diverges: %v (%d, %d, %v), ref (%d, %d, %v)", e,
+				m.pendTarget, m.pendCount, m.pendSquash, ref.pendTarget, ref.pendCount, ref.pendSquash)
+		}
+		if m.Trans.Fallbacks != 0 || m.Native.Fallbacks != 0 {
+			t.Errorf("%v fell back to the reference engine", e)
 		}
 		if m.Output.String() != ref.Output.String() {
 			t.Errorf("output diverges: %v %q, ref %q", e, m.Output.String(), ref.Output.String())

@@ -3,8 +3,8 @@ package mipsx
 // The native engine: the translated engine's block loop (translate.go)
 // plus superblocks (superblock.go). RunNative runs that loop with the
 // program's native state enabled, so hot chained-block paths are
-// flattened into superblock streams and dispatched through the same step
-// switch; everything else — terminators, faults, traps, delegated
+// flattened into superblock streams and run by the same step executor
+// (execSteps); everything else — terminators, faults, traps, delegated
 // transfers, the flush expansion — is the translated engine's code.
 //
 // Superblock streams are formed for one hardware config: the dataflow

@@ -1,33 +1,34 @@
 package mipsx
 
-// The superblock stream executor.
+// The step executor.
 //
-// execSteps runs a formed superblock's flattened stream (superblock.go)
-// against the block loop's working register file and memory. Its switch
-// covers every kind a stream can hold: the block kinds, the edge
-// pseudo-steps, and the check-elided *NC accesses the dataflow pass
+// execSteps runs a sequence of translated steps against the block loop's
+// working register file and memory: a block body, a transfer's two
+// precompiled delay slots, or a formed superblock's flattened stream
+// (superblock.go). Its switch covers every kind any of them can hold: the
+// single instructions, the block translator's fused superinstructions, the
+// edge pseudo-steps, and the check-elided *NC accesses the dataflow pass
 // produces. A step that faults, fails a tag or granule check, or takes an
 // arithmetic trap records what happened in a stepExit and execSteps
-// returns that step's index; a cold edge does the same with why == abSide. A completed run returns -1. The block loop (runBlocks)
-// maps an early exit to the element holding the step and finishes it on
-// its ordinary body-abort, slot-fault or terminator paths.
+// returns that step's index; a cold edge does the same with why ==
+// abSide. A completed run returns -1. The block loop (runBlocks) finishes
+// an early exit on its body-abort, slot-fault, stream-abort or side-exit
+// paths.
 //
-// Streams run here rather than through the block loop's own switch for
-// speed alone: as a small function of its own the step loop keeps its
-// state in registers, while inlined into the block loop it inherits the
-// outer loop's register pressure and reloads spilled values on every
-// step (DESIGN.md §12 has the measurement). Block bodies and delay slots
-// average a few steps, too short to pay for a call, so they stay on the
-// block loop's inline switch; streams average tens of steps.
+// Together with the reference stepper (Step, sim.go) this is the only
+// code that executes instructions: an ISA change edits both, and
+// TestOpGrid checks that they agree. Block bodies average under two
+// steps, so the call per body or slot pair is a real cost to the block
+// loop; DESIGN.md §12 weighs it against keeping a second copy of this
+// switch inline in the loop.
 
 import "math"
 
-// execSteps runs a superblock stream until completion (-1) or an early
-// exit (the index of the stopping step, with x describing why). hw is the
-// machine's config, which equals the one the stream was formed for.
+// execSteps runs steps until completion (-1) or an early exit (the index
+// of the stopping step, with x describing why). hw is the machine's
+// config; a stream's steps were formed for that same config.
 func execSteps(steps []tstep, r *[256]uint32, mem []uint32, hw *HWConfig, x *stepExit) int {
 	si := 0
-dispatch:
 	for si < len(steps) {
 		s := &steps[si]
 		si++
@@ -95,37 +96,25 @@ dispatch:
 			r[s.rd] = uint32(int32(math.Float32frombits(r[s.rs1])))
 		case uint8(DIV):
 			if r[s.rs2] == 0 {
-				x.fault(s.off, "division by zero")
-				return si - 1
+				return x.fault(si-1, s.off, "division by zero")
 			}
 			r[s.rd] = uint32(int32(r[s.rs1]) / int32(r[s.rs2]))
 		case uint8(REM):
 			if r[s.rs2] == 0 {
-				x.fault(s.off, "division by zero")
-				return si - 1
+				return x.fault(si-1, s.off, "division by zero")
 			}
 			r[s.rd] = uint32(int32(r[s.rs1]) % int32(r[s.rs2]))
 
 		case uint8(LD):
 			addr := uint32(int32(r[s.rs1]) + s.imm)
-			if addr&3 != 0 {
-				x.fault(s.off, "misaligned load at %#x", addr)
-				return si - 1
-			}
-			if int(addr>>2) >= len(mem) {
-				x.fault(s.off, "load out of range at %#x", addr)
-				return si - 1
+			if addr&3 != 0 || int(addr>>2) >= len(mem) {
+				return x.memFault(si-1, s.off, addr, true)
 			}
 			r[s.rd] = mem[addr>>2]
 		case uint8(ST):
 			addr := uint32(int32(r[s.rs1]) + s.imm)
-			if addr&3 != 0 {
-				x.fault(s.off, "misaligned store at %#x", addr)
-				return si - 1
-			}
-			if int(addr>>2) >= len(mem) {
-				x.fault(s.off, "store out of range at %#x", addr)
-				return si - 1
+			if addr&3 != 0 || int(addr>>2) >= len(mem) {
+				return x.memFault(si-1, s.off, addr, false)
 			}
 			mem[addr>>2] = r[s.rs2]
 		case uint8(LDT):
@@ -138,32 +127,17 @@ dispatch:
 		case uint8(STT):
 			addr := uint32(int32(r[s.rs1])+s.imm) & hw.MemAddrMask &^ 3
 			if int(addr>>2) >= len(mem) {
-				x.fault(s.off, "store out of range at %#x", addr)
-				return si - 1
+				return x.memFault(si-1, s.off, addr, false)
 			}
 			mem[addr>>2] = r[s.rs2]
 		case uint8(LDC), uint8(STC):
 			v := r[s.rs1]
 			if uint8((v>>hw.TagShift)&hw.TagMask) != s.tag {
-				x.trap(abCheck, s, v, uint32(s.tag))
-				return si - 1
+				return x.trap(si-1, abCheck, s, v, uint32(s.tag))
 			}
 			addr := uint32(int32(v)+s.imm) & hw.MemAddrMask
-			if addr&3 != 0 {
-				if s.kind == uint8(LDC) {
-					x.fault(s.off, "misaligned load at %#x", addr)
-				} else {
-					x.fault(s.off, "misaligned store at %#x", addr)
-				}
-				return si - 1
-			}
-			if int(addr>>2) >= len(mem) {
-				if s.kind == uint8(LDC) {
-					x.fault(s.off, "load out of range at %#x", addr)
-				} else {
-					x.fault(s.off, "store out of range at %#x", addr)
-				}
-				return si - 1
+			if addr&3 != 0 || int(addr>>2) >= len(mem) {
+				return x.memFault(si-1, s.off, addr, s.kind == uint8(LDC))
 			}
 			if s.kind == uint8(LDC) {
 				r[s.rd] = mem[addr>>2]
@@ -189,17 +163,11 @@ dispatch:
 					}
 				}
 				if viol {
-					x.trap(abMemtag, s, item, addr)
-					return si - 1
+					return x.trap(si-1, abMemtag, s, item, addr)
 				}
 			}
 			if int(addr>>2) >= len(mem) {
-				if s.kind == uint8(LDM) {
-					x.fault(s.off, "load out of range at %#x", addr)
-				} else {
-					x.fault(s.off, "store out of range at %#x", addr)
-				}
-				return si - 1
+				return x.memFault(si-1, s.off, addr, s.kind == uint8(LDM))
 			}
 			if s.kind == uint8(LDM) {
 				r[s.rd] = mem[addr>>2]
@@ -209,8 +177,7 @@ dispatch:
 
 		case uint8(ADDTC), uint8(SUBTC):
 			if hw.IsIntItem == nil {
-				x.fault(s.off, "%s without integer-test hardware", Op(s.kind))
-				return si - 1
+				return x.opFault(si-1, s, "%s without integer-test hardware")
 			}
 			a, bv := r[s.rs1], r[s.rs2]
 			var s64 int64
@@ -222,8 +189,7 @@ dispatch:
 			res := uint32(s64)
 			if !hw.IsIntItem(a) || !hw.IsIntItem(bv) ||
 				s64 != int64(int32(res)) || !hw.IsIntItem(res) {
-				x.trap(abTrap, s, a, bv)
-				return si - 1
+				return x.trap(si-1, abTrap, s, a, bv)
 			}
 			r[s.rd] = res
 
@@ -252,88 +218,72 @@ dispatch:
 				r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
 			}
 			addr := uint32(int32(r[s.rs3]) + s.imm2)
-			if addr&3 != 0 {
-				x.fault(s.off+1, "misaligned load at %#x", addr)
-				return si - 1
-			}
-			if int(addr>>2) >= len(mem) {
-				x.fault(s.off+1, "load out of range at %#x", addr)
-				return si - 1
+			if addr&3 != 0 || int(addr>>2) >= len(mem) {
+				return x.memFault(si-1, s.off+1, addr, true)
 			}
 			r[s.rd2] = mem[addr>>2]
 		case kLdLd:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, true)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, true)
 			}
 			r[s.rd] = mem[a1>>2]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, true)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, true)
 			}
 			r[s.rd2] = mem[a2>>2]
 		case kStSt:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, false)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, false)
 			}
 			mem[a1>>2] = r[s.rs2]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, false)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, false)
 			}
 			mem[a2>>2] = r[s.tag]
 		case kMovLd:
 			r[s.rd] = r[s.rs1]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, true)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, true)
 			}
 			r[s.rd2] = mem[a2>>2]
 		case kLdMov:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, true)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, true)
 			}
 			r[s.rd] = mem[a1>>2]
 			r[s.rd2] = r[s.rs3]
 		case kLdSt:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, true)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, true)
 			}
 			r[s.rd] = mem[a1>>2]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, false)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, false)
 			}
 			mem[a2>>2] = r[s.tag]
 		case kStLd:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, false)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, false)
 			}
 			mem[a1>>2] = r[s.rs2]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, true)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, true)
 			}
 			r[s.rd2] = mem[a2>>2]
 		case kStMov:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, false)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, false)
 			}
 			mem[a1>>2] = r[s.rs2]
 			r[s.rd2] = r[s.rs3]
@@ -341,23 +291,20 @@ dispatch:
 			r[s.rd] = r[s.rs1]
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, false)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, false)
 			}
 			mem[a2>>2] = r[s.tag]
 		case kAddiSt:
 			r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
 			a2 := uint32(int32(r[s.rs3]) + s.imm2)
 			if a2&3 != 0 || int(a2>>2) >= len(mem) {
-				x.memFault(s.off+1, a2, false)
-				return si - 1
+				return x.memFault(si-1, s.off+1, a2, false)
 			}
 			mem[a2>>2] = r[s.tag]
 		case kLdSrli:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, true)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, true)
 			}
 			r[s.rd] = mem[a1>>2]
 			r[s.rd2] = r[s.rs3] >> (uint32(s.imm2) & 31)
@@ -367,16 +314,14 @@ dispatch:
 		case kLdAddi:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, true)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, true)
 			}
 			r[s.rd] = mem[a1>>2]
 			r[s.rd2] = uint32(int32(r[s.rs3]) + s.imm2)
 		case kStLi:
 			a1 := uint32(int32(r[s.rs1]) + s.imm)
 			if a1&3 != 0 || int(a1>>2) >= len(mem) {
-				x.memFault(s.off, a1, false)
-				return si - 1
+				return x.memFault(si-1, s.off, a1, false)
 			}
 			mem[a1>>2] = r[s.rs2]
 			r[s.rd2] = uint32(s.imm2)
@@ -394,10 +339,7 @@ dispatch:
 			a := uint32(int32(r[s.rs1]) + s.imm)
 			w := int(a >> 2)
 			if a&3 != 0 || w+2 >= len(mem) {
-				if !memRunSlow(s, r, mem, x) {
-					return si - 1
-				}
-				continue dispatch
+				goto runByElement
 			}
 			v := uint32(s.imm2)
 			r[uint8(v)] = mem[w]
@@ -407,10 +349,7 @@ dispatch:
 			a := uint32(int32(r[s.rs1]) + s.imm)
 			w := int(a >> 2)
 			if a&3 != 0 || w+3 >= len(mem) {
-				if !memRunSlow(s, r, mem, x) {
-					return si - 1
-				}
-				continue dispatch
+				goto runByElement
 			}
 			v := uint32(s.imm2)
 			r[uint8(v)] = mem[w]
@@ -421,10 +360,7 @@ dispatch:
 			a := uint32(int32(r[s.rs1]) + s.imm)
 			w := int(a >> 2)
 			if a&3 != 0 || w+2 >= len(mem) {
-				if !memRunSlow(s, r, mem, x) {
-					return si - 1
-				}
-				continue dispatch
+				goto runByElement
 			}
 			v := uint32(s.imm2)
 			mem[w] = r[uint8(v)]
@@ -434,10 +370,7 @@ dispatch:
 			a := uint32(int32(r[s.rs1]) + s.imm)
 			w := int(a >> 2)
 			if a&3 != 0 || w+3 >= len(mem) {
-				if !memRunSlow(s, r, mem, x) {
-					return si - 1
-				}
-				continue dispatch
+				goto runByElement
 			}
 			v := uint32(s.imm2)
 			mem[w] = r[uint8(v)]
@@ -450,21 +383,8 @@ dispatch:
 			// proved redundant; address masking and fault semantics are
 			// bit-identical to the checked kinds.
 			addr := uint32(int32(r[s.rs1])+s.imm) & hw.MemAddrMask
-			if addr&3 != 0 {
-				if s.kind == kLdcNC {
-					x.fault(s.off, "misaligned load at %#x", addr)
-				} else {
-					x.fault(s.off, "misaligned store at %#x", addr)
-				}
-				return si - 1
-			}
-			if int(addr>>2) >= len(mem) {
-				if s.kind == kLdcNC {
-					x.fault(s.off, "load out of range at %#x", addr)
-				} else {
-					x.fault(s.off, "store out of range at %#x", addr)
-				}
-				return si - 1
+			if addr&3 != 0 || int(addr>>2) >= len(mem) {
+				return x.memFault(si-1, s.off, addr, s.kind == kLdcNC)
 			}
 			if s.kind == kLdcNC {
 				r[s.rd] = mem[addr>>2]
@@ -477,12 +397,7 @@ dispatch:
 			// store (granule colors live in memory).
 			addr := uint32(int32(r[s.rs1])+s.imm) & hw.MemAddrMask &^ 3
 			if int(addr>>2) >= len(mem) {
-				if s.kind == kLdmNC {
-					x.fault(s.off, "load out of range at %#x", addr)
-				} else {
-					x.fault(s.off, "store out of range at %#x", addr)
-				}
-				return si - 1
+				return x.memFault(si-1, s.off, addr, s.kind == kLdmNC)
 			}
 			if s.kind == kLdmNC {
 				r[s.rd] = mem[addr>>2]
@@ -492,21 +407,18 @@ dispatch:
 
 		case kEdgeJr:
 			if r[s.rs1] != uint32(s.imm) {
-				x.side(s.rd2, false)
-				return si - 1
+				return x.side(si-1, s.rd2, false)
 			}
 
 		case kEdgeJrA:
 			if r[s.rs1] != uint32(s.imm) {
-				x.side(s.rd2, false)
-				return si - 1
+				return x.side(si-1, s.rd2, false)
 			}
 			r[s.rd] = uint32(int32(r[s.rs2]) + s.imm2)
 
 		case kEdgeJrL:
 			if r[s.rs1] != uint32(s.imm) {
-				x.side(s.rd2, false)
-				return si - 1
+				return x.side(si-1, s.rd2, false)
 			}
 			r[RRA] = uint32(s.imm2)
 
@@ -515,96 +427,84 @@ dispatch:
 		// exits the stream.
 		case kEdgeOp0 + uint8(BEQ-BEQ):
 			if taken := r[s.rs1] == r[s.rs2]; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BNE-BEQ):
 			if taken := r[s.rs1] != r[s.rs2]; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BLT-BEQ):
 			if taken := int32(r[s.rs1]) < int32(r[s.rs2]); taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BGE-BEQ):
 			if taken := int32(r[s.rs1]) >= int32(r[s.rs2]); taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BLE-BEQ):
 			if taken := int32(r[s.rs1]) <= int32(r[s.rs2]); taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BGT-BEQ):
 			if taken := int32(r[s.rs1]) > int32(r[s.rs2]); taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BEQI-BEQ):
 			if taken := int32(r[s.rs1]) == s.imm; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BNEI-BEQ):
 			if taken := int32(r[s.rs1]) != s.imm; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BLTI-BEQ):
 			if taken := int32(r[s.rs1]) < s.imm; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BGEI-BEQ):
 			if taken := int32(r[s.rs1]) >= s.imm; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BTEQ-BEQ):
 			if taken := uint8((r[s.rs1]>>hw.TagShift)&hw.TagMask) == s.tag; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 		case kEdgeOp0 + uint8(BTNE-BEQ):
 			if taken := uint8((r[s.rs1]>>hw.TagShift)&hw.TagMask) != s.tag; taken != (s.rs3 != 0) {
-				x.side(s.rd2, taken)
-				return si - 1
+				return x.side(si-1, s.rd2, taken)
 			}
 
 		default:
-			x.fault(s.off, "bad opcode %v", Op(s.kind))
-			return si - 1
+			return x.opFault(si-1, s, "bad opcode %v")
+		}
+		continue
+
+	runByElement:
+		// A save/restore run missed its fast-path check: re-run its
+		// elements exactly as the unfused stream executes them — a fresh
+		// address per element — so the right element faults with the right
+		// message after its predecessors took effect, or the whole run
+		// completes when the fast check was merely conservative (wrapped
+		// addresses).
+		{
+			elems := 3
+			if s.kind == kLd4 || s.kind == kSt4 {
+				elems = 4
+			}
+			isLoad := s.kind == kLd3 || s.kind == kLd4
+			v := uint32(s.imm2)
+			for k := 0; k < elems; k++ {
+				addr := uint32(int32(r[s.rs1]) + s.imm + int32(4*k))
+				if addr&3 != 0 || int(addr>>2) >= len(mem) {
+					return x.memFault(si-1, s.off+int32(k), addr, isLoad)
+				}
+				if isLoad {
+					r[uint8(v>>(8*k))] = mem[addr>>2]
+				} else {
+					mem[addr>>2] = r[uint8(v>>(8*k))]
+				}
+			}
 		}
 	}
 	return -1
-}
-
-// memRunSlow re-runs a save/restore run element by element after its
-// combined fast-path check missed: either an element genuinely faults (the
-// right one, after its predecessors took effect) or the whole run completes
-// because the fast check was merely conservative about wrapped addresses.
-// Returns false when the run faulted (x is filled in).
-func memRunSlow(s *tstep, r *[256]uint32, mem []uint32, x *stepExit) bool {
-	elems := 3
-	if s.kind == kLd4 || s.kind == kSt4 {
-		elems = 4
-	}
-	isLoad := s.kind == kLd3 || s.kind == kLd4
-	v := uint32(s.imm2)
-	for k := 0; k < elems; k++ {
-		addr := uint32(int32(r[s.rs1]) + s.imm + int32(4*k))
-		if addr&3 != 0 || int(addr>>2) >= len(mem) {
-			x.memFault(s.off+int32(k), addr, isLoad)
-			return false
-		}
-		if isLoad {
-			r[uint8(v>>(8*k))] = mem[addr>>2]
-		} else {
-			mem[addr>>2] = r[uint8(v>>(8*k))]
-		}
-	}
-	return true
 }

@@ -7,9 +7,9 @@ package mipsx
 // conditional terminator contributes one edge pseudo-step that bails out of
 // the stream when the branch resolves against the formed direction, and the
 // terminator's delay slots ride along as ordinary steps (omitted entirely
-// when the hot direction annuls them). The stream runs through the block
-// loop's own dispatch switch (translate.go), where the edge kinds below
-// are extra cases. One complete run of the stream charges the whole path
+// when the hot direction annuls them). The stream runs through the step
+// executor that runs block bodies (execSteps, sbexec.go), where the edge
+// kinds below are extra cases. One complete run of the stream charges the whole path
 // with a single counter increment and a single precomputed cycle
 // addition; the counter expands back into per-block body and direction
 // counts at flush, which the block loop's existing expansion then turns

@@ -5,15 +5,16 @@ package mipsx
 // superblock formation in superblock.go).
 //
 // runBlocks executes translated blocks: one counter increment and two
-// additions charge a whole block body, the step loop dispatches fused
-// superinstructions, and the terminator resolves the branch, runs both
-// delay slots through the same dispatch loop as block bodies (they are
-// precompiled into dispatch steps at translation time) and follows a chain
-// pointer to the successor block, so steady-state control flow touches
-// neither the PC-keyed block table nor any per-instruction statistics.
-// Destination register 0 is remapped at translation time to a scratch slot
-// past the architectural file, so the dispatch loop never restores the
-// hardwired zero. Per-category, per-opcode and stall statistics are
+// additions charge a whole block body, the step executor (execSteps,
+// sbexec.go) runs its fused superinstructions, and the terminator resolves
+// the branch, runs both delay slots through the same executor (they are
+// precompiled into steps at translation time) and follows a chain pointer
+// to the successor block, so steady-state control flow touches neither the
+// PC-keyed block table nor any per-instruction statistics. execSteps and
+// the reference stepper (Step, sim.go) are the only two places that
+// execute instructions. Destination register 0 is remapped at translation
+// time to a scratch slot past the architectural file, so no step restores
+// the hardwired zero. Per-category, per-opcode and stall statistics are
 // reconstructed on exit from per-block execution counters and the blocks'
 // static accounting — the result is bit-identical to the reference
 // engine's Stats, registers, memory, output and faults (PC and cycle
@@ -22,11 +23,11 @@ package mipsx
 //
 // The native engine is this loop plus superblocks: at block entry, when
 // the program's native state is pinned to the machine's hardware config,
-// a hot block anchors a superblock stream (superblock.go) run by the
-// stream executor (execSteps, sbexec.go) and charged with one counter
-// bump and one precomputed cycle addition per complete run. Everything a
-// stream cannot finish itself — side exits, faults, traps, terminal
-// terminators — continues on this loop's ordinary paths.
+// a hot block anchors a superblock stream (superblock.go), run by the
+// same executor and charged with one counter bump and one precomputed
+// cycle addition per complete run. Everything a stream cannot finish
+// itself — side exits, faults, traps, terminal terminators — continues on
+// this loop's ordinary paths.
 //
 // Rare events leave the fast path without breaking that identity:
 //   - A fault inside a body backs out the block's static accounting and
@@ -39,9 +40,10 @@ package mipsx
 //   - LDC/STC check failures, LDM/STM granule failures and ADDTC/SUBTC
 //     traps back out the body accounting the same way, then redirect to
 //     the software handler.
-//   - Control transfers whose delay slots are too subtle to run inline
-//     (nested control, checked accesses, SYS — or slots past the end of
-//     the stream) are delegated to the reference stepper (termInterp).
+//   - Control transfers whose delay slots are too subtle to run as
+//     precompiled steps (nested control, checked accesses, SYS — or slots
+//     past the end of the stream) are delegated to the reference stepper
+//     (termInterp).
 //   - A superblock edge that resolves against the formed direction side
 //     exits: the completed prefix is recorded by exit site, and the
 //     exiting element's terminator resolves on the ordinary path. A fault
@@ -66,7 +68,6 @@ package mipsx
 // loop never needs to model resumed pipeline state.
 
 import (
-	"math"
 	"strconv"
 	"sync/atomic"
 )
@@ -82,14 +83,7 @@ func (m *Machine) RunTranslated() error {
 	return runBlocks[translatedLoop](m, nil)
 }
 
-// Dispatch phases of the block loop.
-const (
-	phBody   uint8 = iota // a block body
-	phSlots               // a terminator's precompiled delay slots
-	phStream              // a superblock stream (aborts only; streams run in execSteps)
-)
-
-// Why a step left the dispatch loop through abort.
+// Why execSteps stopped early.
 const (
 	abFault  uint8 = iota // simulator fault: failf, failargs set
 	abCheck               // LDC/STC tag mismatch: trapA the item, trapB the wanted tag
@@ -98,10 +92,11 @@ const (
 	abSide                // superblock side exit (streams only): sbj, taken
 )
 
-// stepExit records why a step left a dispatch loop early — a block body's
-// in runBlocks or a stream's in execSteps: a fault, check failure or trap
-// at source pc fpc (handled at runBlocks' abort), or a superblock side
-// exit at element sbj whose branch went the taken way.
+// stepExit records why execSteps stopped early, in a block body, a
+// transfer's delay slots or a stream: a fault, check failure or trap at
+// source pc fpc (handled at runBlocks' abort, slotFault or streamAbort),
+// or a superblock side exit at element sbj whose branch went the taken
+// way.
 type stepExit struct {
 	why      uint8
 	taken    bool
@@ -117,43 +112,57 @@ type stepExit struct {
 	trapRd       uint8
 }
 
-// fault records a simulator fault. The args slice is the only allocation
-// on the fault path, and only happens when a run actually faults.
-func (x *stepExit) fault(pc int32, f string, args ...any) {
-	x.why, x.fpc, x.failf, x.failargs = abFault, int(pc), f, args
+// The recorders below fill in x for the step at index i and return i, so
+// an early exit from execSteps is one `return x.memFault(si-1, ...)` with
+// nothing live after the call. The two that box their message arguments
+// stay out of line, which keeps the allocation's runtime calls out of the
+// step loop.
+
+// fault records a simulator fault whose message takes no arguments.
+func (x *stepExit) fault(i int, pc int32, f string) int {
+	x.why, x.fpc, x.failf, x.failargs = abFault, int(pc), f, nil
+	return i
 }
 
 // opFault records a fault whose message names step s's opcode.
-func (x *stepExit) opFault(s *tstep, f string) {
-	x.fault(s.off, f, Op(s.kind))
+//
+//go:noinline
+func (x *stepExit) opFault(i int, s *tstep, f string) int {
+	x.why, x.fpc, x.failf, x.failargs = abFault, int(s.off), f, []any{Op(s.kind)}
+	return i
 }
 
 // memFault records the misaligned or out-of-range fault of one word
 // access at pc.
-func (x *stepExit) memFault(pc int32, addr uint32, isLoad bool) {
+//
+//go:noinline
+func (x *stepExit) memFault(i int, pc int32, addr uint32, isLoad bool) int {
 	x.why, x.fpc = abFault, int(pc)
 	x.failf, x.failargs = memFault(addr, isLoad)
+	return i
 }
 
 // trap records a tag-check, granule-check or arithmetic-trap exit at step
 // s. ADDTC/SUBTC carry their original destination register in s.tag.
-func (x *stepExit) trap(why uint8, s *tstep, a, b uint32) {
+func (x *stepExit) trap(i int, why uint8, s *tstep, a, b uint32) int {
 	x.why, x.fpc, x.trapA, x.trapB = why, int(s.off), a, b
 	x.trapOp, x.trapRd = s.kind, s.tag
+	return i
 }
 
 // side records a cold edge at element j.
-func (x *stepExit) side(j uint8, taken bool) {
+func (x *stepExit) side(i int, j uint8, taken bool) int {
 	x.why, x.sbj, x.taken = abSide, int32(j), taken
+	return i
 }
 
 // blockRun is the block loop's per-run bookkeeping: which engine the run
 // is credited to, the native state, the engine counters, and the record
-// of the last early exit from a dispatch loop.
+// of the last early exit from execSteps.
 type blockRun struct {
 	np         *nativeProg // superblocks enabled when non-nil
-	x          stepExit    // why the last step left a dispatch loop early
-	sb         *sblock     // the stream x refers to, when phase is phStream
+	x          stepExit    // why execSteps last stopped early
+	sb         *sblock     // the stream x refers to, after a stream stopped early
 	sbIdx      int32       // the index of the step that stopped it
 	translated uint64      // blocks this run translated (Trans only)
 	// How the run ends, read at flush: a fault message, an error from a
@@ -169,12 +178,10 @@ type blockRun struct {
 // The block loop's two instantiations. runBlocks is generic only so that
 // each engine gets its own compiled copy: the array length is a constant
 // in each, so the translated engine's copy contains none of the
-// superblock code. That matters for speed, not just size — in one shared
-// copy the superblock paths that rejoin the terminator after a call
-// (side exits, streams ending at an unpredicted terminator) cost the
-// translated dispatch loop ~20% in register shuffles even though it never
-// takes them, and routing them around the terminator instead costs the
-// native engine ~10% (DESIGN.md §12).
+// superblock code. That matters for speed, not just size: the translated
+// engine is the no-superblock baseline every native ratio is measured
+// against, and code it never runs still costs a loop this size register
+// shuffles (DESIGN.md §12).
 type (
 	translatedLoop [0]byte
 	nativeLoop     [1]byte
@@ -191,17 +198,14 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	ins := p.Instrs
 	mem := m.Mem
 	tagShift, tagMask := m.HW.TagShift, m.HW.TagMask
-	memAddrMask := m.HW.MemAddrMask
-	isIntItem := m.HW.IsIntItem
 	trapCycles := m.HW.TrapCycles
-	memtagBase, memtagShift, memtagLimit := m.HW.MemtagBase, m.HW.MemtagShift, m.HW.MemtagLimit
 	st := &m.Stats
 
 	// The working register file: the 32 architectural registers plus the
 	// scratch slot absorbing remapped zero-destination writes (RScratch).
 	// Sized 256 so every uint8 register index is provably in range and the
-	// compiler elides the bounds check on each dispatch-loop access; slots
-	// past RScratch are never touched.
+	// compiler elides the bounds check on each step's access; slots past
+	// RScratch are never touched.
 	var regs [256]uint32
 	copy(regs[:32], m.Regs[:])
 	r := &regs
@@ -221,8 +225,8 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	// when execution reaches a block translated past the current size.
 	bctr := m.bctr
 	// The loop's bookkeeping lives in br, which stays in memory (its
-	// address is taken), so none of it competes with the step dispatch
-	// for registers.
+	// address is taken), so none of it competes with the loop's hot
+	// locals for registers.
 	br := blockRun{np: np}
 
 	// The pipeline state (m.pendTarget and friends) is written only on
@@ -234,13 +238,8 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	var b *tblock
 	var t *tterm
 	var trans bool
-	// Dispatch phase: the step loop runs a block body or a terminator's
-	// precompiled delay slots (phSlots; pendT/condTaken/itgt carry the
-	// resolved transfer across the slot phase). phStream marks an early
-	// exit from superblock br.sb's stream, which runs in execSteps.
-	var steps []tstep
-	var si int
-	var phase uint8
+	// The resolved transfer a terminator's delay slots run under: its
+	// outcome, direction, indirect target and pending target.
 	var o *outcome
 	var condTaken bool
 	var itgt int
@@ -284,11 +283,11 @@ loop:
 						// The stream left early at step idx: a cold edge
 						// side-exits, anything else aborts as if step idx
 						// of a body had.
-						br.sb, br.sbIdx, phase = sb, int32(idx), phStream
+						br.sb, br.sbIdx = sb, int32(idx)
 						if br.x.why == abSide {
 							goto sideExit
 						}
-						goto abort
+						goto streamAbort
 					}
 					// The stream ran to completion: one exit-site bump and
 					// the precomputed cycle sum charge every element (the
@@ -313,7 +312,6 @@ loop:
 							bctr = m.bctr
 						}
 						bc = &bctr[b.id]
-						phase = phBody
 						goto terminator
 					}
 					b = sb.next.Load()
@@ -348,500 +346,18 @@ loop:
 		// Block body: the whole body's cycles (including static interlock
 		// stalls) are charged up front; per-instruction counts, categories
 		// and stall attribution are expanded from the block counters at
-		// flush.
+		// flush. Bodies average under two steps, so the call to the step
+		// executor is a large part of a block's cost, and the 12–39% of
+		// block runs whose body is empty (a branch behind a branch, a bare
+		// return) skip it.
 		bc.body++
 		cycles += b.bodyCyc
-		steps = b.steps
-		si = 0
-		phase = phBody
-
-	dispatch:
-		for si < len(steps) {
-			s := &steps[si]
-			si++
-			switch s.kind {
-			case uint8(NOP):
-			case uint8(MOV):
-				r[s.rd] = r[s.rs1]
-			case uint8(LI):
-				r[s.rd] = uint32(s.imm)
-			case uint8(ADD):
-				r[s.rd] = uint32(int32(r[s.rs1]) + int32(r[s.rs2]))
-			case uint8(ADDI):
-				r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
-			case uint8(SUB):
-				r[s.rd] = uint32(int32(r[s.rs1]) - int32(r[s.rs2]))
-			case uint8(AND):
-				r[s.rd] = r[s.rs1] & r[s.rs2]
-			case uint8(ANDI):
-				r[s.rd] = r[s.rs1] & uint32(s.imm)
-			case uint8(OR):
-				r[s.rd] = r[s.rs1] | r[s.rs2]
-			case uint8(ORI):
-				r[s.rd] = r[s.rs1] | uint32(s.imm)
-			case uint8(XOR):
-				r[s.rd] = r[s.rs1] ^ r[s.rs2]
-			case uint8(XORI):
-				r[s.rd] = r[s.rs1] ^ uint32(s.imm)
-			case uint8(SLL):
-				r[s.rd] = r[s.rs1] << (r[s.rs2] & 31)
-			case uint8(SLLI):
-				r[s.rd] = r[s.rs1] << (uint32(s.imm) & 31)
-			case uint8(SRL):
-				r[s.rd] = r[s.rs1] >> (r[s.rs2] & 31)
-			case uint8(SRLI):
-				r[s.rd] = r[s.rs1] >> (uint32(s.imm) & 31)
-			case uint8(SRA):
-				r[s.rd] = uint32(int32(r[s.rs1]) >> (r[s.rs2] & 31))
-			case uint8(SRAI):
-				r[s.rd] = uint32(int32(r[s.rs1]) >> (uint32(s.imm) & 31))
-			case uint8(MUL):
-				r[s.rd] = uint32(int32(r[s.rs1]) * int32(r[s.rs2]))
-			case uint8(FADD):
-				r[s.rd] = math.Float32bits(math.Float32frombits(r[s.rs1]) + math.Float32frombits(r[s.rs2]))
-			case uint8(FSUB):
-				r[s.rd] = math.Float32bits(math.Float32frombits(r[s.rs1]) - math.Float32frombits(r[s.rs2]))
-			case uint8(FMUL):
-				r[s.rd] = math.Float32bits(math.Float32frombits(r[s.rs1]) * math.Float32frombits(r[s.rs2]))
-			case uint8(FDIV):
-				r[s.rd] = math.Float32bits(math.Float32frombits(r[s.rs1]) / math.Float32frombits(r[s.rs2]))
-			case uint8(FLT):
-				if math.Float32frombits(r[s.rs1]) < math.Float32frombits(r[s.rs2]) {
-					r[s.rd] = 1
-				} else {
-					r[s.rd] = 0
-				}
-			case uint8(FEQ):
-				if math.Float32frombits(r[s.rs1]) == math.Float32frombits(r[s.rs2]) {
-					r[s.rd] = 1
-				} else {
-					r[s.rd] = 0
-				}
-			case uint8(ITOF):
-				r[s.rd] = math.Float32bits(float32(int32(r[s.rs1])))
-			case uint8(FTOI):
-				r[s.rd] = uint32(int32(math.Float32frombits(r[s.rs1])))
-			case uint8(DIV):
-				if r[s.rs2] == 0 {
-					br.x.fault(s.off, "division by zero")
-					goto abort
-				}
-				r[s.rd] = uint32(int32(r[s.rs1]) / int32(r[s.rs2]))
-			case uint8(REM):
-				if r[s.rs2] == 0 {
-					br.x.fault(s.off, "division by zero")
-					goto abort
-				}
-				r[s.rd] = uint32(int32(r[s.rs1]) % int32(r[s.rs2]))
-
-			case uint8(LD):
-				addr := uint32(int32(r[s.rs1]) + s.imm)
-				if addr&3 != 0 || int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off, addr, true)
-					goto abort
-				}
-				r[s.rd] = mem[addr>>2]
-			case uint8(ST):
-				addr := uint32(int32(r[s.rs1]) + s.imm)
-				if addr&3 != 0 || int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off, addr, false)
-					goto abort
-				}
-				mem[addr>>2] = r[s.rs2]
-			case uint8(LDT):
-				addr := uint32(int32(r[s.rs1])+s.imm) & memAddrMask &^ 3
-				var v uint32
-				if int(addr>>2) < len(mem) {
-					v = mem[addr>>2]
-				}
-				r[s.rd] = v
-			case uint8(STT):
-				addr := uint32(int32(r[s.rs1])+s.imm) & memAddrMask &^ 3
-				if int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off, addr, false)
-					goto abort
-				}
-				mem[addr>>2] = r[s.rs2]
-			case uint8(LDC), uint8(STC):
-				v := r[s.rs1]
-				if uint8((v>>tagShift)&tagMask) != s.tag {
-					// Tag mismatch: enter the type-error path. (LDC/STC
-					// never appear in delay slots — see slotSimple — so
-					// this is always a body step.)
-					br.x.trap(abCheck, s, v, uint32(s.tag))
-					goto abort
-				}
-				addr := uint32(int32(v)+s.imm) & memAddrMask
-				if addr&3 != 0 || int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off, addr, s.kind == uint8(LDC))
-					goto abort
-				}
-				if s.kind == uint8(LDC) {
-					r[s.rd] = mem[addr>>2]
-				} else {
-					mem[addr>>2] = r[s.rs2]
-				}
-
-			case uint8(LDM), uint8(STM):
-				item := r[s.rs1]
-				addr := uint32(int32(item)+s.imm) & memAddrMask &^ 3
-				if addr < memtagLimit {
-					ca := mem[(memtagBase+(addr>>memtagShift)<<2)>>2]
-					viol := ca == 0
-					if !viol {
-						cb := s.tag
-						if cb == RZero {
-							cb = s.rs1
-						}
-						ba := r[cb] & memAddrMask &^ 3
-						if ba>>memtagShift != addr>>memtagShift && ba < memtagLimit &&
-							mem[(memtagBase+(ba>>memtagShift)<<2)>>2] != ca {
-							viol = true
-						}
-					}
-					if viol {
-						// Granule mismatch: enter the memtag-error path.
-						// (LDM/STM never appear in delay slots — see
-						// slotSimple — so this is always a body step.)
-						br.x.trap(abMemtag, s, item, addr)
-						goto abort
-					}
-				}
-				if int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off, addr, s.kind == uint8(LDM))
-					goto abort
-				}
-				if s.kind == uint8(LDM) {
-					r[s.rd] = mem[addr>>2]
-				} else {
-					mem[addr>>2] = r[s.rs2]
-				}
-
-			case uint8(ADDTC), uint8(SUBTC):
-				if isIntItem == nil {
-					br.x.opFault(s, "%s without integer-test hardware")
-					goto abort
-				}
-				a, bv := r[s.rs1], r[s.rs2]
-				var s64 int64
-				if s.kind == uint8(ADDTC) {
-					s64 = int64(int32(a)) + int64(int32(bv))
-				} else {
-					s64 = int64(int32(a)) - int64(int32(bv))
-				}
-				res := uint32(s64)
-				if !isIntItem(a) || !isIntItem(bv) ||
-					s64 != int64(int32(res)) || !isIntItem(res) {
-					// ADDTC/SUBTC never appear in delay slots (slotSimple),
-					// so this is always a body step; no pending branch is
-					// possible here, so the reference engine's
-					// trap-in-delay-slot fault cannot occur.
-					br.x.trap(abTrap, s, a, bv)
-					goto abort
-				}
-				r[s.rd] = res
-
-			// Fused superinstructions: both halves execute in textual
-			// order, so architectural state matches the unfused stream.
-			// A fault in a second half attributes to the pc after the
-			// step's own.
-			case kSrliAndi:
-				r[s.rd] = r[s.rs1] >> (uint32(s.imm) & 31)
-				r[s.rd2] = r[s.rs3] & uint32(s.imm2)
-			case kSlliOri:
-				r[s.rd] = r[s.rs1] << (uint32(s.imm) & 31)
-				r[s.rd2] = r[s.rs3] | uint32(s.imm2)
-			case kMovMov:
-				r[s.rd] = r[s.rs1]
-				r[s.rd2] = r[s.rs3]
-			case kMov3:
-				r[s.rd] = r[s.rs1]
-				r[s.rd2] = r[s.rs3]
-				r[s.rs2] = r[s.tag]
-			case kMov4:
-				r[s.rd] = r[s.rs1]
-				r[s.rd2] = r[s.rs3]
-				r[s.rs2] = r[s.tag]
-				r[uint8(s.imm)] = r[uint8(s.imm>>8)]
-			case kAndiLd, kAddiLd:
-				if s.kind == kAndiLd {
-					r[s.rd] = r[s.rs1] & uint32(s.imm)
-				} else {
-					r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
-				}
-				addr := uint32(int32(r[s.rs3]) + s.imm2)
-				if addr&3 != 0 || int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off+1, addr, true)
-					goto abort
-				}
-				r[s.rd2] = mem[addr>>2]
-			case kLdLd:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, true)
-					goto abort
-				}
-				r[s.rd] = mem[a1>>2]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, true)
-					goto abort
-				}
-				r[s.rd2] = mem[a2>>2]
-			case kStSt:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, false)
-					goto abort
-				}
-				mem[a1>>2] = r[s.rs2]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, false)
-					goto abort
-				}
-				mem[a2>>2] = r[s.tag]
-			case kMovLd:
-				r[s.rd] = r[s.rs1]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, true)
-					goto abort
-				}
-				r[s.rd2] = mem[a2>>2]
-			case kLdMov:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, true)
-					goto abort
-				}
-				r[s.rd] = mem[a1>>2]
-				r[s.rd2] = r[s.rs3]
-			case kLdSt:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, true)
-					goto abort
-				}
-				r[s.rd] = mem[a1>>2]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, false)
-					goto abort
-				}
-				mem[a2>>2] = r[s.tag]
-			case kStLd:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, false)
-					goto abort
-				}
-				mem[a1>>2] = r[s.rs2]
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, true)
-					goto abort
-				}
-				r[s.rd2] = mem[a2>>2]
-			case kStMov:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, false)
-					goto abort
-				}
-				mem[a1>>2] = r[s.rs2]
-				r[s.rd2] = r[s.rs3]
-			case kMovSt, kAddiSt:
-				if s.kind == kMovSt {
-					r[s.rd] = r[s.rs1]
-				} else {
-					r[s.rd] = uint32(int32(r[s.rs1]) + s.imm)
-				}
-				a2 := uint32(int32(r[s.rs3]) + s.imm2)
-				if a2&3 != 0 || int(a2>>2) >= len(mem) {
-					br.x.memFault(s.off+1, a2, false)
-					goto abort
-				}
-				mem[a2>>2] = r[s.tag]
-			case kLdSrli:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, true)
-					goto abort
-				}
-				r[s.rd] = mem[a1>>2]
-				r[s.rd2] = r[s.rs3] >> (uint32(s.imm2) & 31)
-			case kMovSrli:
-				r[s.rd] = r[s.rs1]
-				r[s.rd2] = r[s.rs3] >> (uint32(s.imm2) & 31)
-			case kLdAddi:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, true)
-					goto abort
-				}
-				r[s.rd] = mem[a1>>2]
-				r[s.rd2] = uint32(int32(r[s.rs3]) + s.imm2)
-			case kStLi:
-				a1 := uint32(int32(r[s.rs1]) + s.imm)
-				if a1&3 != 0 || int(a1>>2) >= len(mem) {
-					br.x.memFault(s.off, a1, false)
-					goto abort
-				}
-				mem[a1>>2] = r[s.rs2]
-				r[s.rd2] = uint32(s.imm2)
-			case kLiOr:
-				r[s.rd] = uint32(s.imm)
-				r[s.rd2] = r[s.rs3] | r[s.tag]
-			case kOrAddi:
-				r[s.rd] = r[s.rs1] | r[s.rs2]
-				r[s.rd2] = uint32(int32(r[s.rs3]) + s.imm2)
-			case kSlliSrai:
-				r[s.rd] = r[s.rs1] << (uint32(s.imm) & 31)
-				r[s.rd2] = uint32(int32(r[s.rs3]) >> (uint32(s.imm2) & 31))
-
-			// Save/restore runs: one address computation and one combined
-			// check cover the whole burst. The fast-path range check is
-			// conservative when the addresses wrap the 32-bit space (the
-			// precomputed word index keeps growing where the wrapped address
-			// would come back in range), so misses fall to a slow path that
-			// re-runs the elements exactly as the unfused stream would.
-			case kLd3:
-				a := uint32(int32(r[s.rs1]) + s.imm)
-				w := int(a >> 2)
-				if a&3 != 0 || w+2 >= len(mem) {
-					goto runSlow
-				}
-				v := uint32(s.imm2)
-				r[uint8(v)] = mem[w]
-				r[uint8(v>>8)] = mem[w+1]
-				r[uint8(v>>16)] = mem[w+2]
-			case kLd4:
-				a := uint32(int32(r[s.rs1]) + s.imm)
-				w := int(a >> 2)
-				if a&3 != 0 || w+3 >= len(mem) {
-					goto runSlow
-				}
-				v := uint32(s.imm2)
-				r[uint8(v)] = mem[w]
-				r[uint8(v>>8)] = mem[w+1]
-				r[uint8(v>>16)] = mem[w+2]
-				r[uint8(v>>24)] = mem[w+3]
-			case kSt3:
-				a := uint32(int32(r[s.rs1]) + s.imm)
-				w := int(a >> 2)
-				if a&3 != 0 || w+2 >= len(mem) {
-					goto runSlow
-				}
-				v := uint32(s.imm2)
-				mem[w] = r[uint8(v)]
-				mem[w+1] = r[uint8(v>>8)]
-				mem[w+2] = r[uint8(v>>16)]
-			case kSt4:
-				a := uint32(int32(r[s.rs1]) + s.imm)
-				w := int(a >> 2)
-				if a&3 != 0 || w+3 >= len(mem) {
-					goto runSlow
-				}
-				v := uint32(s.imm2)
-				mem[w] = r[uint8(v)]
-				mem[w+1] = r[uint8(v>>8)]
-				mem[w+2] = r[uint8(v>>16)]
-				mem[w+3] = r[uint8(v>>24)]
-
-			default:
-				br.x.opFault(s, "bad opcode %v")
-				goto abort
-			}
+		if len(b.steps) != 0 && execSteps(b.steps, r, mem, &m.HW, &br.x) >= 0 {
+			goto abort
 		}
 
 	terminator:
 		t = &b.term
-		if phase == phSlots {
-			// The transfer's delay slots just ran through the dispatch
-			// loop; charge the resolved outcome and complete the
-			// transfer.
-			cycles += o.cyc
-			switch t.kind {
-			case termCond:
-				var ch *atomic.Pointer[tblock]
-				if condTaken {
-					bc.taken++
-					ch = &t.tnext
-				} else {
-					bc.fall++
-					ch = &t.fnext
-				}
-				pc = int(o.nextPC)
-				b = ch.Load()
-				if b == nil {
-					b, trans = p.blockAt(pc)
-					if b == nil {
-						br.failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						br.translated++
-					}
-					ch.Store(b)
-				} else {
-					br.chainHits++
-				}
-			case termJump:
-				bc.taken++
-				pc = int(o.nextPC)
-				b = t.tnext.Load()
-				if b == nil {
-					b, trans = p.blockAt(pc)
-					if b == nil {
-						br.failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						br.translated++
-					}
-					t.tnext.Store(b)
-				} else {
-					br.chainHits++
-				}
-			default: // termJumpInd
-				bc.taken++
-				pc = itgt
-				// The cache is promote-once: a polymorphic site (a
-				// return) keeps its first target and misses to the
-				// PC-keyed table, rather than churning allocations on
-				// every retarget.
-				if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
-					b = ce.b
-					br.chainHits++
-				} else {
-					b, trans = p.blockAt(itgt)
-					if b == nil {
-						br.failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						br.translated++
-					}
-					if ce == nil {
-						t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
-					}
-				}
-				// Slot-2 load interlock against the computed target's
-				// first instruction, the one stall the translator cannot
-				// resolve statically.
-				if o.s2wmask&b.leadReads != 0 {
-					cycles++
-					st.Stalls++
-					st.ByCat[t.slot2.Cat]++
-					if t.slot2.RTCheck {
-						st.ByRTSub[t.slot2.Sub]++
-					}
-				}
-			}
-			continue loop
-		}
-
 		switch t.kind {
 		case termFall:
 			pc = int(t.fall.nextPC)
@@ -1010,10 +526,7 @@ loop:
 				continue loop
 			}
 			pendT = int(t.target)
-			phase = phSlots
-			si = 0
-			steps = t.slots[:]
-			goto dispatch
+			goto slots
 
 		case termJumpInd:
 			v := r[t.rs1]
@@ -1081,10 +594,7 @@ loop:
 				continue loop
 			}
 			pendT = itgt
-			phase = phSlots
-			si = 0
-			steps = t.slots[:]
-			goto dispatch
+			goto slots
 
 		case termInterp:
 			// Delegate the transfer and its delay slots to the reference
@@ -1193,8 +703,7 @@ loop:
 		}
 		if o.annul || t.slotsNop {
 			// No slot work (annulled or NOP slots): complete the transfer
-			// inline instead of round-tripping through the dispatch loop's
-			// slot phase.
+			// without running the slots.
 			cycles += o.cyc
 			var ch *atomic.Pointer[tblock]
 			if condTaken {
@@ -1225,10 +734,95 @@ loop:
 		if condTaken {
 			pendT = int(t.target)
 		}
-		phase = phSlots
-		si = 0
-		steps = t.slots[:]
-		goto dispatch
+		goto slots
+
+	slots:
+		// A transfer whose delay slots do work: run them (precompiled into
+		// steps at translation time, never fused), then charge the
+		// resolved outcome and complete the transfer. pendT is the
+		// pending target, -1 for a fall-through.
+		if execSteps(t.slots[:], r, mem, &m.HW, &br.x) >= 0 {
+			goto slotFault
+		}
+		cycles += o.cyc
+		switch t.kind {
+		case termCond:
+			var ch *atomic.Pointer[tblock]
+			if condTaken {
+				bc.taken++
+				ch = &t.tnext
+			} else {
+				bc.fall++
+				ch = &t.fnext
+			}
+			pc = int(o.nextPC)
+			b = ch.Load()
+			if b == nil {
+				b, trans = p.blockAt(pc)
+				if b == nil {
+					br.failf = "pc out of range"
+					break loop
+				}
+				if trans {
+					br.translated++
+				}
+				ch.Store(b)
+			} else {
+				br.chainHits++
+			}
+		case termJump:
+			bc.taken++
+			pc = int(o.nextPC)
+			b = t.tnext.Load()
+			if b == nil {
+				b, trans = p.blockAt(pc)
+				if b == nil {
+					br.failf = "pc out of range"
+					break loop
+				}
+				if trans {
+					br.translated++
+				}
+				t.tnext.Store(b)
+			} else {
+				br.chainHits++
+			}
+		default: // termJumpInd
+			bc.taken++
+			pc = itgt
+			// The cache is promote-once: a polymorphic site (a
+			// return) keeps its first target and misses to the
+			// PC-keyed table, rather than churning allocations on
+			// every retarget.
+			if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
+				b = ce.b
+				br.chainHits++
+			} else {
+				b, trans = p.blockAt(itgt)
+				if b == nil {
+					br.failf = "pc out of range"
+					break loop
+				}
+				if trans {
+					br.translated++
+				}
+				if ce == nil {
+					t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
+				}
+			}
+			// Slot-2 load interlock against the computed target's
+			// first instruction, the one stall the translator cannot
+			// resolve statically.
+			if o.s2wmask&b.leadReads != 0 {
+				cycles++
+				st.Stalls++
+				st.ByCat[t.slot2.Cat]++
+				if t.slot2.RTCheck {
+					st.ByRTSub[t.slot2.Sub]++
+				}
+			}
+		}
+		continue loop
 
 	sideExit:
 		// A superblock edge resolved against the formed direction at
@@ -1250,7 +844,6 @@ loop:
 		bc.body++
 		cycles += br.sb.elems[br.x.sbj].cycBefore + b.bodyCyc
 		m.Native.ElidedChecks += uint64(br.sb.elems[br.x.sbj].elided)
-		phase = phBody
 		t = &b.term
 		if t.kind == termCond {
 			condTaken = br.x.taken
@@ -1258,87 +851,51 @@ loop:
 		}
 		goto terminator
 
-	runSlow:
-		// A save/restore run missed its fast-path check: re-run its
-		// elements exactly as the unfused stream executes them — a fresh
-		// address per element — so the right element faults with the right
-		// message after its predecessors took effect, or the whole run
-		// completes when the fast check was merely conservative (wrapped
-		// addresses). Runs never appear in delay slots (slots are compiled
-		// unfused), so a fault here is always a body fault. (execSteps
-		// shares memRunSlow; here the loop is spelled out because a path
-		// that rejoins dispatch after a call costs the dispatch loop
-		// register shuffles on every step, see DESIGN.md §12.)
+	streamAbort:
+		// A stream step faulted, failed a check or trapped: map it to its
+		// element. The completed elements before it are recorded by exit
+		// site, and the fault is handled as one in that element's body or
+		// delay slots.
+		m.Native.SBSideExits++
 		{
-			s := &steps[si-1]
-			elems := 3
-			if s.kind == kLd4 || s.kind == kSt4 {
-				elems = 4
+			sb, idx := br.sb, br.sbIdx
+			j := int32(0)
+			for int(j)+1 < len(sb.elems) && sb.elems[j+1].stepLo <= idx {
+				j++
 			}
-			isLoad := s.kind == kLd3 || s.kind == kLd4
-			v := uint32(s.imm2)
-			for k := 0; k < elems; k++ {
-				addr := uint32(int32(r[s.rs1]) + s.imm + int32(4*k))
-				if addr&3 != 0 || int(addr>>2) >= len(mem) {
-					br.x.memFault(s.off+int32(k), addr, isLoad)
-					goto abort
+			e := &sb.elems[j]
+			m.markSBExit(sb, j)
+			b = e.b
+			bc = m.growBctr(b.id)
+			bctr = m.bctr
+			cycles += e.cycBefore
+			if idx >= e.slotLo && idx < e.stepHi {
+				// A delay slot faulted after the hot branch: body and
+				// direction accounting happen on the slot-fault path.
+				bc.body++
+				cycles += b.bodyCyc
+				t = &b.term
+				pendT = -1
+				switch {
+				case t.kind == termJumpInd:
+					pendT = int(e.jrTgt)
+				case t.kind == termJump || (t.kind == termCond && e.hotTaken):
+					pendT = int(t.target)
 				}
-				if isLoad {
-					r[uint8(v>>(8*k))] = mem[addr>>2]
-				} else {
-					mem[addr>>2] = r[uint8(v>>(8*k))]
-				}
+				goto slotFault
 			}
-			goto dispatch
 		}
+		goto recharge
 
 	abort:
-		// A body, slot or stream step faulted, failed a tag or granule
-		// check, or trapped (br.x says which, at source pc br.x.fpc). Find
-		// the block holding it, back out that block's static body
-		// accounting and re-charge the executed prefix instruction by
-		// instruction, exactly as the reference engine charges it, then
-		// fault or enter the software handler.
-		switch {
-		case phase == phSlots:
-			goto slotFault
-		case native && phase == phStream:
-			// Map the aborted stream step to its element: the completed
-			// elements before it are recorded by exit site, and the run
-			// resumes as that element's per-block execution.
-			m.Native.SBSideExits++
-			{
-				sb, idx := br.sb, br.sbIdx
-				j := int32(0)
-				for int(j)+1 < len(sb.elems) && sb.elems[j+1].stepLo <= idx {
-					j++
-				}
-				e := &sb.elems[j]
-				m.markSBExit(sb, j)
-				b = e.b
-				bc = m.growBctr(b.id)
-				bctr = m.bctr
-				cycles += e.cycBefore
-				if idx >= e.slotLo && idx < e.stepHi {
-					// A delay slot faulted after the hot branch: body and
-					// direction accounting happen on the slot-fault path.
-					bc.body++
-					cycles += b.bodyCyc
-					t = &b.term
-					pendT = -1
-					switch {
-					case t.kind == termJumpInd:
-						pendT = int(e.jrTgt)
-					case t.kind == termJump || (t.kind == termCond && e.hotTaken):
-						pendT = int(t.target)
-					}
-					goto slotFault
-				}
-			}
-		default:
-			bc.body--
-			cycles -= b.bodyCyc
-		}
+		// A body step faulted, failed a tag or granule check, or trapped
+		// (br.x says which, at source pc br.x.fpc): back out the block's
+		// static body accounting and re-charge the executed prefix
+		// instruction by instruction, exactly as the reference engine
+		// charges it, then fault or enter the software handler.
+		bc.body--
+		cycles -= b.bodyCyc
+	recharge:
 		cycles = m.accountPrefix(int(b.start), br.x.fpc, cycles)
 		switch br.x.why {
 		case abFault:
@@ -1376,7 +933,6 @@ loop:
 			mem[TrapPCAddr>>2] = uint32(br.x.fpc + 1)
 			pc = m.HW.TrapHandler
 		}
-		phase = phBody
 		cycles += trapCycles
 		st.Traps++
 		if cycles > limit {
