@@ -62,6 +62,15 @@ race:
 	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime|Recycle' ./internal/core ./internal/mipsx
 	$(GO) test -race ./internal/server
 
+# Coverage gate for the block loop's exits: runs the internal/mipsx and
+# internal/difftest tests with coverage of internal/mipsx, merges the
+# counts, and fails if any block of runBlocks reads zero executions and
+# is not on internal/mipsx/testdata/blockloop_cover_allow.txt (each entry
+# with its reason).
+.PHONY: cover-blockloop
+cover-blockloop:
+	sh scripts/cover_blockloop.sh
+
 # Short-budget coverage-guided fuzzing over every fuzz target: the
 # differential program generator, the raw-source pipeline, and the
 # compiler/interpreter differential in lispc. FUZZTIME=10m for a longer

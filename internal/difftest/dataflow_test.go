@@ -14,14 +14,11 @@ import "testing"
 
 // TestDataflowInvariant drives the invariant across the full 40-config
 // implementation spectrum: every scheme×hardware point gets a distinct
-// generated program. Every seed's engines must be compared except seed
-// 1033's, whose program never terminates (the interpreter exhausts any
-// step budget and the reference engine reaches the cycle limit), so no
-// engine result exists to compare; seeds 1020 and 1030 run unchecked
-// configs and error or box floats, so only the interpreter's verdict is
-// skipped.
+// generated program. Every seed's engines must be compared; seeds 1020
+// and 1030 run unchecked configs and error or box floats, so only the
+// interpreter's verdict is skipped.
 func TestDataflowInvariant(t *testing.T) {
-	want := map[uint64]string{1020: censorUnchecked, 1030: censorUnchecked, 1033: censorNonterminating}
+	want := map[uint64]string{1020: censorUnchecked, 1030: censorUnchecked}
 	for i, cfg := range Spectrum() {
 		seed := uint64(1000 + i)
 		src := Generate(NewSeeded(seed))

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -20,7 +21,9 @@ import (
 // their printed truncation is exact; lists stay shorter than the image
 // decoder's recursion bound. Recursive helper functions are built from
 // structurally-terminating templates (a counter argument decremented to
-// zero, or structural recursion on a finite list).
+// zero, or structural recursion on a finite list). The counters of loops
+// and recursions (a dotimes variable, a helper's n or l) are readable but
+// never assigned: a setq of one could reset it on every pass.
 type Gen struct {
 	r *Rand
 
@@ -28,6 +31,9 @@ type Gen struct {
 	fltVars []string
 	lstVars []string
 	vecVars []vecVar
+	// counters holds the loop and recursion counters in scope: names in
+	// intVars or lstVars that no setq may target.
+	counters []string
 
 	// helper function templates already emitted, usable at call sites
 	sumFns   []string // (fn n acc) -> int, counts n down
@@ -97,26 +103,27 @@ func (g *Gen) genDefun() string {
 	g.fltVars, g.vecVars = nil, nil
 	defer func() {
 		g.intVars, g.fltVars, g.lstVars, g.vecVars = savedI, savedF, savedL, savedV
+		g.counters = nil
 	}()
 
 	switch g.r.Intn(3) {
 	case 0:
 		name := fmt.Sprintf("gsum%d", len(g.sumFns))
-		g.intVars, g.lstVars = []string{"n", "acc"}, nil
+		g.intVars, g.lstVars, g.counters = []string{"n", "acc"}, nil, []string{"n"}
 		step := g.genInt(1)
 		g.sumFns = append(g.sumFns, name)
 		return fmt.Sprintf("(defun %s (n acc) (if (<= n 0) acc (%s (1- n) (+ acc %s))))\n",
 			name, name, step)
 	case 1:
 		name := fmt.Sprintf("gbuild%d", len(g.buildFns))
-		g.intVars, g.lstVars = []string{"n"}, nil
+		g.intVars, g.lstVars, g.counters = []string{"n"}, nil, []string{"n"}
 		elem := g.genInt(1)
 		g.buildFns = append(g.buildFns, name)
 		return fmt.Sprintf("(defun %s (n) (if (<= n 0) nil (cons %s (%s (1- n)))))\n",
 			name, elem, name)
 	default:
 		name := fmt.Sprintf("gcount%d", len(g.countFns))
-		g.intVars, g.lstVars = []string{"acc"}, []string{"l"}
+		g.intVars, g.lstVars, g.counters = []string{"acc"}, []string{"l"}, []string{"l"}
 		step := g.genInt(1)
 		g.countFns = append(g.countFns, name)
 		return fmt.Sprintf("(defun %s (l acc) (if (consp l) (%s (cdr l) (+ acc %s)) acc))\n",
@@ -124,10 +131,28 @@ func (g *Gen) genDefun() string {
 	}
 }
 
+// enterLoop brings a dotimes counter, dt, into scope for the loop body;
+// leaveLoop takes it out again.
+func (g *Gen) enterLoop() {
+	g.intVars = append(g.intVars, "dt")
+	g.counters = append(g.counters, "dt")
+}
+
+func (g *Gen) leaveLoop() {
+	g.intVars = g.intVars[:len(g.intVars)-1]
+	g.counters = g.counters[:len(g.counters)-1]
+}
+
+// counter reports whether v is a loop or recursion counter in scope,
+// which no setq may target.
+func (g *Gen) counter(v string) bool { return slices.Contains(g.counters, v) }
+
 // genStmt is one body statement of the main let*.
 func (g *Gen) genStmt() string {
 	switch g.r.Intn(8) {
 	case 0:
+		// The main body has no counter in scope: dt is one only inside a
+		// loop body, which genStmt never generates.
 		if len(g.intVars) > 0 {
 			return fmt.Sprintf("(setq %s %s)", pick(g.r, g.intVars), g.genInt(3))
 		}
@@ -149,9 +174,9 @@ func (g *Gen) genStmt() string {
 		// ordinary int variable inside the loop body.
 		if len(g.intVars) > 0 {
 			iv := pick(g.r, g.intVars)
-			g.intVars = append(g.intVars, "dt")
+			g.enterLoop()
 			body := fmt.Sprintf("(setq %s (+ %s %s))", iv, iv, g.genInt(1))
-			g.intVars = g.intVars[:len(g.intVars)-1]
+			g.leaveLoop()
 			return fmt.Sprintf("(dotimes (dt %d) %s)", 1+g.r.Intn(8), body)
 		}
 	case 5:
@@ -159,9 +184,9 @@ func (g *Gen) genStmt() string {
 		// image decoder's depth limit.
 		if len(g.lstVars) > 0 {
 			lv := pick(g.r, g.lstVars)
-			g.intVars = append(g.intVars, "dt")
+			g.enterLoop()
 			elem := g.genInt(1)
-			g.intVars = g.intVars[:len(g.intVars)-1]
+			g.leaveLoop()
 			return fmt.Sprintf("(dotimes (dt %d) (setq %s (cons %s %s)))",
 				1+g.r.Intn(6), lv, elem, lv)
 		}
@@ -246,8 +271,9 @@ func (g *Gen) genInt(d int) string {
 		// Mutation inside a subexpression: argument values snapshot at
 		// evaluation time.
 		if len(g.intVars) > 0 {
-			v := pick(g.r, g.intVars)
-			return fmt.Sprintf("(+ %s (progn (setq %s %s) %s))", v, v, g.genInt(d-1), v)
+			if v := pick(g.r, g.intVars); !g.counter(v) {
+				return fmt.Sprintf("(+ %s (progn (setq %s %s) %s))", v, v, g.genInt(d-1), v)
+			}
 		}
 		return g.genInt(d - 1)
 	case 14:
@@ -372,9 +398,10 @@ func (g *Gen) genList(d int) string {
 	case 10:
 		if len(g.lstVars) > 0 {
 			// Mutation mid-expression, as in the lispc fuzz generator.
-			v := pick(g.r, g.lstVars)
-			return fmt.Sprintf("(cons (length %s) (progn (setq %s %s) %s))",
-				v, v, g.genList(d-1), v)
+			if v := pick(g.r, g.lstVars); !g.counter(v) {
+				return fmt.Sprintf("(cons (length %s) (progn (setq %s %s) %s))",
+					v, v, g.genList(d-1), v)
+			}
 		}
 		return g.genList(d - 1)
 	default:

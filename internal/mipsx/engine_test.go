@@ -1,6 +1,7 @@
 package mipsx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,43 +13,31 @@ import (
 // reference. It returns the translated machine for additional assertions.
 func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 	t.Helper()
+	translated, _ := compareEngines(t, p, memWords, hw, 1_000_000)
+	return translated
+}
+
+// compareEngines is runEngines under a cycle limit of maxCycles. It
+// returns the translated machine and the reference run's error.
+func compareEngines(t *testing.T, p *Program, memWords int, hw HWConfig, maxCycles uint64) (*Machine, error) {
+	t.Helper()
 	ref := NewMachine(p, memWords, hw)
-	ref.MaxCycles = 1_000_000
+	ref.MaxCycles = maxCycles
 	rerr := ref.RunReference()
+	want := stateOf(ref, rerr)
 
 	var translated *Machine
 	for _, e := range []Engine{EngineTranslated, EngineNative} {
 		m := NewMachine(p, memWords, hw)
-		m.MaxCycles = 1_000_000
-		merr := m.RunEngine(e)
+		m.MaxCycles = maxCycles
+		if got := stateOf(m, m.RunEngine(e)); got != want {
+			t.Errorf("%v ends in\n%+v\nreference\n%+v", e, got, want)
+		}
 		if e == EngineTranslated {
 			translated = m
 		}
-
-		switch {
-		case (merr == nil) != (rerr == nil):
-			t.Fatalf("error divergence: %v %v, ref %v", e, merr, rerr)
-		case merr != nil && merr.Error() != rerr.Error():
-			t.Fatalf("error divergence:\n%v: %v\nref:   %v", e, merr, rerr)
-		}
-		if m.Stats != ref.Stats {
-			t.Errorf("stats diverge:\n%v: %+v\nref:   %+v", e, m.Stats, ref.Stats)
-		}
-		if m.Regs != ref.Regs {
-			t.Errorf("registers diverge:\n%v: %v\nref:   %v", e, m.Regs, ref.Regs)
-		}
-		if m.PC != ref.PC {
-			t.Errorf("final PC diverges: %v %d, ref %d", e, m.PC, ref.PC)
-		}
-		if m.pendTarget != ref.pendTarget || m.pendCount != ref.pendCount || m.pendSquash != ref.pendSquash {
-			t.Errorf("pending branch diverges: %v (%d, %d, %v), ref (%d, %d, %v)", e,
-				m.pendTarget, m.pendCount, m.pendSquash, ref.pendTarget, ref.pendCount, ref.pendSquash)
-		}
 		if m.Trans.Fallbacks != 0 || m.Native.Fallbacks != 0 {
 			t.Errorf("%v fell back to the reference engine", e)
-		}
-		if m.Output.String() != ref.Output.String() {
-			t.Errorf("output diverges: %v %q, ref %q", e, m.Output.String(), ref.Output.String())
 		}
 		for i := range m.Mem {
 			if m.Mem[i] != ref.Mem[i] {
@@ -57,7 +46,24 @@ func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 			}
 		}
 	}
-	return translated
+	return translated, rerr
+}
+
+// machineState is what a run leaves behind, for comparing two runs.
+type machineState struct {
+	err                   string
+	stats                 Stats
+	regs                  [32]uint32
+	pc                    int
+	pendTarget, pendCount int
+	pendSquash, halted    bool
+	output                string
+}
+
+func stateOf(m *Machine, err error) machineState {
+	return machineState{err: fmt.Sprint(err), stats: m.Stats, regs: m.Regs, pc: m.PC,
+		pendTarget: m.pendTarget, pendCount: m.pendCount, pendSquash: m.pendSquash,
+		halted: m.halted, output: m.Output.String()}
 }
 
 // TestEnginesMatchReference pits the translated and native engines against

@@ -229,26 +229,34 @@ func (m *Machine) fault(format string, args ...any) error {
 }
 
 func (m *Machine) loadWord(addr uint32) (uint32, error) {
-	if addr&3 != 0 {
-		return 0, m.fault("misaligned load at %#x", addr)
+	if i := addr >> 2; addr&3 == 0 && int(i) < len(m.Mem) {
+		return m.Mem[i], nil
 	}
-	i := addr >> 2
-	if int(i) >= len(m.Mem) {
-		return 0, m.fault("load out of range at %#x", addr)
-	}
-	return m.Mem[i], nil
+	f, args := memFault(addr, true)
+	return 0, m.fault(f, args...)
 }
 
 func (m *Machine) storeWord(addr, v uint32) error {
-	if addr&3 != 0 {
-		return m.fault("misaligned store at %#x", addr)
+	if i := addr >> 2; addr&3 == 0 && int(i) < len(m.Mem) {
+		m.Mem[i] = v
+		return nil
 	}
-	i := addr >> 2
-	if int(i) >= len(m.Mem) {
-		return m.fault("store out of range at %#x", addr)
+	f, args := memFault(addr, false)
+	return m.fault(f, args...)
+}
+
+// memFault returns the reference engine's fault message for a misaligned
+// or out-of-range word access at addr.
+func memFault(addr uint32, isLoad bool) (string, []any) {
+	switch {
+	case isLoad && addr&3 != 0:
+		return "misaligned load at %#x", []any{addr}
+	case isLoad:
+		return "load out of range at %#x", []any{addr}
+	case addr&3 != 0:
+		return "misaligned store at %#x", []any{addr}
 	}
-	m.Mem[i] = v
-	return nil
+	return "store out of range at %#x", []any{addr}
 }
 
 func (m *Machine) tagOf(v uint32) uint8 {
@@ -309,11 +317,7 @@ func (m *Machine) Step() error {
 		if in.readMask()&(1<<m.lastLoadReg) != 0 {
 			ld := &m.Prog.Instrs[m.lastLoad]
 			m.Stats.Cycles++
-			m.Stats.Stalls++
-			m.Stats.ByCat[ld.Cat]++
-			if ld.RTCheck {
-				m.Stats.ByRTSub[ld.Sub]++
-			}
+			m.Stats.stall(ld.Cat, ld.Sub, ld.RTCheck, 1)
 		}
 		m.lastLoadReg = RZero
 	}
@@ -552,18 +556,14 @@ func (m *Machine) Step() error {
 		case JAL:
 			r[RRA] = uint32(m.PC+1+delaySlots) << 2
 			m.pendTarget = int(in.Target)
-		case JALR:
+		case JALR, JR:
 			if r[in.Rs1]&3 != 0 {
-				return m.fault("jalr to misaligned code address %#x", r[in.Rs1])
-			}
-			t := int(r[in.Rs1] >> 2)
-			r[RRA] = uint32(m.PC+1+delaySlots) << 2
-			m.pendTarget = t
-		case JR:
-			if r[in.Rs1]&3 != 0 {
-				return m.fault("jr to misaligned code address %#x", r[in.Rs1])
+				return m.fault("%s to misaligned code address %#x", in.Op, r[in.Rs1])
 			}
 			m.pendTarget = int(r[in.Rs1] >> 2)
+			if in.Op == JALR {
+				r[RRA] = uint32(m.PC+1+delaySlots) << 2
+			}
 		}
 		if m.Obs != nil {
 			k := EvJump

@@ -38,6 +38,18 @@ func (s *Stats) add(in *Instr, cycles uint64) {
 	}
 }
 
+// stall attributes n load-interlock stall cycles of a load of category
+// cat and subcategory sub: to Stalls, to the load's category and, for a
+// load that exists only for run-time checking, to its ByRTSub cause. The
+// caller charges the cycles themselves.
+func (s *Stats) stall(cat Category, sub SubCat, rtCheck bool, n uint64) {
+	s.Stalls += n
+	s.ByCat[cat] += n
+	if rtCheck {
+		s.ByRTSub[sub] += n
+	}
+}
+
 // TagCycles returns the cycles spent on all tag handling: insertion, removal
 // and checking (checking includes extraction and unused delay slots of check
 // branches, per the paper's costing).

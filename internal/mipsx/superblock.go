@@ -496,12 +496,7 @@ func (m *Machine) creditJrStall(e *sbElem, n uint64) {
 		return
 	}
 	s2 := e.b.term.slot2
-	st := &m.Stats
-	st.Stalls += n
-	st.ByCat[s2.Cat] += n
-	if s2.RTCheck {
-		st.ByRTSub[s2.Sub] += n
-	}
+	m.Stats.stall(s2.Cat, s2.Sub, s2.RTCheck, n)
 }
 
 // markSBExit records one stream execution of sb that left at element j —

@@ -10,9 +10,12 @@ package mipsx
 // the branch, runs both delay slots through the same executor (they are
 // precompiled into steps at translation time) and follows a chain pointer
 // to the successor block, so steady-state control flow touches neither the
-// PC-keyed block table nor any per-instruction statistics. execSteps and
-// the reference stepper (Step, sim.go) are the only two places that
-// execute instructions. Destination register 0 is remapped at translation
+// PC-keyed block table nor any per-instruction statistics. Each terminator
+// kind only resolves its transfer (outcome, direction, pending target);
+// the limit check, the slots, the static accounting and the successor
+// lookup are written once, on the transfer path every kind joins.
+// execSteps and the reference stepper (Step, sim.go) are the only two
+// places that execute instructions. Destination register 0 is remapped at translation
 // time to a scratch slot past the architectural file, so no step restores
 // the hardwired zero. Per-category, per-opcode and stall statistics are
 // reconstructed on exit from per-block execution counters and the blocks'
@@ -175,6 +178,19 @@ type blockRun struct {
 	slowRuns  uint64 // per-block body runs while superblocks are enabled
 }
 
+// lookup returns the block at pc from the PC-keyed table, translating it
+// on first use. A nil block means pc is outside the instruction stream,
+// and the run ends with the reference engine's fault.
+func (br *blockRun) lookup(p *Program, pc int) *tblock {
+	b, trans := p.blockAt(pc)
+	if b == nil {
+		br.failf = "pc out of range"
+	} else if trans {
+		br.translated++
+	}
+	return b
+}
+
 // The block loop's two instantiations. runBlocks is generic only so that
 // each engine gets its own compiled copy: the array length is a constant
 // in each, so the translated engine's copy contains none of the
@@ -217,9 +233,6 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	limit := m.cycleLimit(cycles)
 	var over bool
 
-	if len(m.execCounts) < len(ins) {
-		m.execCounts = make([]uint64, len(ins))
-	}
 	counts := m.execCounts[:len(ins)]
 	// Per-block counters, indexed by dense block id; grown (with headroom)
 	// when execution reaches a block translated past the current size.
@@ -237,14 +250,14 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 	var squashed uint64
 	var b *tblock
 	var t *tterm
-	var trans bool
 	// The resolved transfer a terminator's delay slots run under: its
-	// outcome, direction, indirect target and pending target.
+	// outcome, direction and pending target (-1 for a fall-through).
 	var o *outcome
-	var condTaken bool
-	var itgt int
+	var taken bool
 	var pendT int
 	var bc *blockCtr
+	// The chain pointer the successor at pc is looked up through.
+	var ch *atomic.Pointer[tblock]
 
 	if m.halted {
 		goto flush
@@ -253,13 +266,8 @@ func runBlocks[L translatedLoop | nativeLoop](m *Machine, np *nativeProg) error 
 loop:
 	for {
 		if b == nil {
-			b, trans = p.blockAt(pc)
-			if b == nil {
-				br.failf = "pc out of range"
+			if b = br.lookup(p, pc); b == nil {
 				break loop
-			}
-			if trans {
-				br.translated++
 			}
 		}
 		if int(b.id) >= len(bctr) {
@@ -314,17 +322,13 @@ loop:
 						bc = &bctr[b.id]
 						goto terminator
 					}
-					b = sb.next.Load()
-					if b == nil {
+					// The stream's successor keeps its own lookup: routed
+					// through the chain path, native measured slower
+					// (DESIGN.md §12). A successor outside the program
+					// (nil) faults at the loop top.
+					if b = sb.next.Load(); b == nil {
 						pc = int(sb.nextPC)
-						b, trans = p.blockAt(pc)
-						if b == nil {
-							br.failf = "pc out of range"
-							break loop
-						}
-						if trans {
-							br.translated++
-						}
+						b = br.lookup(p, pc)
 						sb.next.Store(b)
 					}
 					continue loop
@@ -357,24 +361,15 @@ loop:
 		}
 
 	terminator:
+		// Each kind resolves its transfer — the outcome o, the direction
+		// taken and the pending target pendT (-1 for a fall-through) — and
+		// joins the one transfer path below. Kinds without delay slots go
+		// straight to the successor lookup.
 		t = &b.term
 		switch t.kind {
 		case termFall:
-			pc = int(t.fall.nextPC)
-			b = t.fnext.Load()
-			if b == nil {
-				b, trans = p.blockAt(pc)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				t.fnext.Store(b)
-			} else {
-				br.chainHits++
-			}
+			pc, ch = int(t.fall.nextPC), &t.fnext
+			goto chain
 
 		case termHalt:
 			counts[t.pc]++
@@ -416,65 +411,42 @@ loop:
 				if rd != RZero {
 					r[rd] = mem[TrapResultAddr>>2]
 				}
-				cycles += trapCycles
 				pc = int(mem[TrapPCAddr>>2])
-				if cycles > limit {
-					if limit, over, br.cancelErr = m.pollLimit(cycles); over {
-						br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-						break loop
-					} else if br.cancelErr != nil {
-						break loop
-					}
-				}
-				b = nil
-				continue loop
+				goto trapEntry
 			default:
 				pc = int(t.pc)
 				br.failf, br.failargs = "bad syscall %d", []any{t.imm}
 				break loop
 			}
-			pc = int(t.pc) + 1
-			b = t.fnext.Load()
-			if b == nil {
-				b, trans = p.blockAt(pc)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				t.fnext.Store(b)
-			} else {
-				br.chainHits++
-			}
+			pc, ch = int(t.fall.nextPC), &t.fnext
+			goto chain
 
 		case termCond:
 			switch t.op {
 			case BEQ:
-				condTaken = r[t.rs1] == r[t.rs2]
+				taken = r[t.rs1] == r[t.rs2]
 			case BNE:
-				condTaken = r[t.rs1] != r[t.rs2]
+				taken = r[t.rs1] != r[t.rs2]
 			case BLT:
-				condTaken = int32(r[t.rs1]) < int32(r[t.rs2])
+				taken = int32(r[t.rs1]) < int32(r[t.rs2])
 			case BGE:
-				condTaken = int32(r[t.rs1]) >= int32(r[t.rs2])
+				taken = int32(r[t.rs1]) >= int32(r[t.rs2])
 			case BLE:
-				condTaken = int32(r[t.rs1]) <= int32(r[t.rs2])
+				taken = int32(r[t.rs1]) <= int32(r[t.rs2])
 			case BGT:
-				condTaken = int32(r[t.rs1]) > int32(r[t.rs2])
+				taken = int32(r[t.rs1]) > int32(r[t.rs2])
 			case BEQI:
-				condTaken = int32(r[t.rs1]) == t.imm
+				taken = int32(r[t.rs1]) == t.imm
 			case BNEI:
-				condTaken = int32(r[t.rs1]) != t.imm
+				taken = int32(r[t.rs1]) != t.imm
 			case BLTI:
-				condTaken = int32(r[t.rs1]) < t.imm
+				taken = int32(r[t.rs1]) < t.imm
 			case BGEI:
-				condTaken = int32(r[t.rs1]) >= t.imm
+				taken = int32(r[t.rs1]) >= t.imm
 			case BTEQ:
-				condTaken = uint8((r[t.rs1]>>tagShift)&tagMask) == t.tag
+				taken = uint8((r[t.rs1]>>tagShift)&tagMask) == t.tag
 			case BTNE:
-				condTaken = uint8((r[t.rs1]>>tagShift)&tagMask) != t.tag
+				taken = uint8((r[t.rs1]>>tagShift)&tagMask) != t.tag
 			}
 			goto condBranch
 
@@ -482,51 +454,7 @@ loop:
 			if t.link {
 				r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 			}
-			o = &t.taken
-			if cycles+o.checkCyc > limit {
-				if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
-					// Canceled at a poll point: stop at the branch, before
-					// it dispatches, leaving no pipeline state pending.
-					pc = int(t.pc)
-					break loop
-				}
-				if over {
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						counts[t.pc+1]++
-						counts[t.pc+2]++
-						pc = int(o.nextPC)
-					} else {
-						pc = int(t.pc) + 1
-						m.pendTarget, m.pendCount = int(t.target), delaySlots
-					}
-					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-					break loop
-				}
-			}
-			if t.slotsNop {
-				cycles += o.cyc
-				bc.taken++
-				pc = int(o.nextPC)
-				b = t.tnext.Load()
-				if b == nil {
-					b, trans = p.blockAt(pc)
-					if b == nil {
-						br.failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						br.translated++
-					}
-					t.tnext.Store(b)
-				} else {
-					br.chainHits++
-				}
-				continue loop
-			}
-			pendT = int(t.target)
-			goto slots
+			taken, pendT = true, int(t.target)
 
 		case termJumpInd:
 			v := r[t.rs1]
@@ -534,92 +462,30 @@ loop:
 				counts[t.pc]++
 				cycles++
 				pc = int(t.pc)
-				if t.op == JALR {
-					br.failf, br.failargs = "jalr to misaligned code address %#x", []any{v}
-				} else {
-					br.failf, br.failargs = "jr to misaligned code address %#x", []any{v}
-				}
+				br.failf, br.failargs = "%s to misaligned code address %#x", []any{t.op, v}
 				break loop
 			}
-			itgt = int(v >> 2)
 			if t.link {
 				r[RRA] = uint32(int(t.pc)+1+delaySlots) << 2
 			}
-			o = &t.taken
-			if cycles+o.checkCyc > limit {
-				if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
-					// Canceled at a poll point: stop at the branch, before
-					// it dispatches, leaving no pipeline state pending.
-					pc = int(t.pc)
-					break loop
-				}
-				if over {
-					counts[t.pc]++
-					cycles += o.checkCyc
-					if t.slotsNop {
-						counts[t.pc+1]++
-						counts[t.pc+2]++
-						pc = itgt
-					} else {
-						pc = int(t.pc) + 1
-						m.pendTarget, m.pendCount = itgt, delaySlots
-					}
-					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-					break loop
-				}
-			}
-			if t.slotsNop {
-				// NOP slots cannot hold the load whose interlock the
-				// translator defers to run time, so o.s2wmask is zero and
-				// the transfer completes inline.
-				cycles += o.cyc
-				bc.taken++
-				pc = itgt
-				if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
-					b = ce.b
-					br.chainHits++
-				} else {
-					b, trans = p.blockAt(itgt)
-					if b == nil {
-						br.failf = "pc out of range"
-						break loop
-					}
-					if trans {
-						br.translated++
-					}
-					if ce == nil {
-						t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
-					}
-				}
-				continue loop
-			}
-			pendT = itgt
-			goto slots
+			taken, pendT = true, int(v>>2)
 
 		case termInterp:
 			// Delegate the transfer and its delay slots to the reference
 			// stepper: sync the hot locals into the machine, step until the
 			// pipeline drains, and pull the (possibly faulted or halted)
-			// state back.
+			// state back. The limit is checked right after dispatching the
+			// transfer, as on the transfer path; a cancellation seen there
+			// stops the run only once the delay slots have drained.
 			copy(m.Regs[:], regs[:32])
 			m.PC = int(t.pc)
 			st.Cycles = cycles
 			err := m.Step()
 			if err == nil && st.Cycles > limit {
-				// The limit is checked right after dispatching the
-				// transfer, as at every inline terminator. A cancellation
-				// seen here stops the run only once the delay slots have
-				// drained (below).
-				if limit, over, br.cancelErr = m.pollLimit(st.Cycles); over {
-					br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-				}
+				limit, over, br.cancelErr = m.pollLimit(st.Cycles)
 			}
-			if err == nil && br.failf == "" {
-				for (m.pendCount > 0 || m.pendSquash) && !m.halted {
-					if err = m.Step(); err != nil {
-						break
-					}
-				}
+			for err == nil && !over && (m.pendCount > 0 || m.pendSquash) && !m.halted {
+				err = m.Step()
 			}
 			copy(regs[:32], m.Regs[:])
 			cycles = st.Cycles
@@ -628,7 +494,10 @@ loop:
 				br.failErr = err
 				break loop
 			}
-			if br.failf != "" || m.halted {
+			if over {
+				goto overLimit
+			}
+			if m.halted {
 				break loop
 			}
 			// Consume a trailing load interlock left by a slot, exactly as
@@ -638,11 +507,7 @@ loop:
 					ins[pc].readMask()&(1<<m.lastLoadReg) != 0 {
 					ld := &ins[m.lastLoad]
 					cycles++
-					st.Stalls++
-					st.ByCat[ld.Cat]++
-					if ld.RTCheck {
-						st.ByRTSub[ld.Sub]++
-					}
+					st.stall(ld.Cat, ld.Sub, ld.RTCheck, 1)
 				}
 				m.lastLoadReg = RZero
 			}
@@ -650,18 +515,25 @@ loop:
 				break loop
 			}
 			b = nil
+			continue loop
 		}
-		continue loop
+		o = &t.taken
+		goto transfer
 
 	condBranch:
-		// A conditional terminator whose direction is resolved in
-		// condTaken: by the terminator itself, or by the superblock edge
-		// that side-exited here (the delay slots have not run yet and may
+		// A conditional terminator whose direction is resolved in taken:
+		// by the terminator itself, or by the superblock edge that
+		// side-exited here (the delay slots have not run yet and may
 		// clobber the branch operands, so it is never re-evaluated).
-		o = &t.fall
-		if condTaken {
-			o = &t.taken
+		o, pendT = &t.fall, -1
+		if taken {
+			o, pendT = &t.taken, int(t.target)
 		}
+
+	transfer:
+		// Every transfer with delay slots completes here: the limit check,
+		// the slots (run through the step executor unless they are NOPs or
+		// annulled), the outcome's static accounting and the successor.
 		if cycles+o.checkCyc > limit {
 			if limit, over, br.cancelErr = m.pollLimit(cycles + o.checkCyc); br.cancelErr != nil {
 				// Canceled at a poll point: stop at the branch, before it
@@ -675,153 +547,76 @@ loop:
 				// still pending otherwise.
 				counts[t.pc]++
 				cycles += o.checkCyc
-				if t.slotsNop {
-					if condTaken {
+				pc = int(t.pc) + 1
+				switch {
+				case t.slotsNop:
+					if o.annul {
+						squashed += 2
+					} else {
 						counts[t.pc+1]++
 						counts[t.pc+2]++
-						pc = int(o.nextPC)
-					} else {
-						if o.annul {
-							squashed += 2
-						} else {
-							counts[t.pc+1]++
-							counts[t.pc+2]++
-						}
-						pc = int(t.pc) + 3
 					}
-				} else {
-					pc = int(t.pc) + 1
-					if condTaken {
-						m.pendTarget, m.pendCount = int(t.target), delaySlots
-					} else if o.annul {
-						m.pendTarget, m.pendCount, m.pendSquash = -1, delaySlots, true
+					pc += delaySlots
+					if pendT >= 0 {
+						pc = pendT
 					}
+				case pendT >= 0:
+					m.pendTarget, m.pendCount = pendT, delaySlots
+				case o.annul:
+					m.pendTarget, m.pendCount, m.pendSquash = -1, delaySlots, true
 				}
-				br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-				break loop
+				goto overLimit
 			}
 		}
-		if o.annul || t.slotsNop {
-			// No slot work (annulled or NOP slots): complete the transfer
-			// without running the slots.
-			cycles += o.cyc
-			var ch *atomic.Pointer[tblock]
-			if condTaken {
-				bc.taken++
-				ch = &t.tnext
-			} else {
-				bc.fall++
-				ch = &t.fnext
-			}
-			pc = int(o.nextPC)
-			b = ch.Load()
-			if b == nil {
-				b, trans = p.blockAt(pc)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				ch.Store(b)
-			} else {
-				br.chainHits++
-			}
-			continue loop
-		}
-		pendT = -1
-		if condTaken {
-			pendT = int(t.target)
-		}
-		goto slots
-
-	slots:
-		// A transfer whose delay slots do work: run them (precompiled into
-		// steps at translation time, never fused), then charge the
-		// resolved outcome and complete the transfer. pendT is the
-		// pending target, -1 for a fall-through.
-		if execSteps(t.slots[:], r, mem, &m.HW, &br.x) >= 0 {
+		if !o.annul && !t.slotsNop && execSteps(t.slots[:], r, mem, &m.HW, &br.x) >= 0 {
 			goto slotFault
 		}
 		cycles += o.cyc
-		switch t.kind {
-		case termCond:
-			var ch *atomic.Pointer[tblock]
-			if condTaken {
-				bc.taken++
-				ch = &t.tnext
-			} else {
-				bc.fall++
-				ch = &t.fnext
+		if !taken {
+			bc.fall++
+			pc, ch = int(o.nextPC), &t.fnext
+			goto chain
+		}
+		bc.taken++
+		if t.kind != termJumpInd {
+			pc, ch = int(o.nextPC), &t.tnext
+			goto chain
+		}
+		// The indirect target's cache is promote-once: a polymorphic site
+		// (a return) keeps its first target and misses to the PC-keyed
+		// table, rather than churning allocations on every retarget.
+		pc = pendT
+		if ce := t.icache.Load(); ce != nil && int(ce.pc) == pc {
+			b = ce.b
+			br.chainHits++
+		} else {
+			if b = br.lookup(p, pc); b == nil {
+				break loop
 			}
-			pc = int(o.nextPC)
-			b = ch.Load()
-			if b == nil {
-				b, trans = p.blockAt(pc)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				ch.Store(b)
-			} else {
-				br.chainHits++
-			}
-		case termJump:
-			bc.taken++
-			pc = int(o.nextPC)
-			b = t.tnext.Load()
-			if b == nil {
-				b, trans = p.blockAt(pc)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				t.tnext.Store(b)
-			} else {
-				br.chainHits++
-			}
-		default: // termJumpInd
-			bc.taken++
-			pc = itgt
-			// The cache is promote-once: a polymorphic site (a
-			// return) keeps its first target and misses to the
-			// PC-keyed table, rather than churning allocations on
-			// every retarget.
-			if ce := t.icache.Load(); ce != nil && int(ce.pc) == itgt {
-				b = ce.b
-				br.chainHits++
-			} else {
-				b, trans = p.blockAt(itgt)
-				if b == nil {
-					br.failf = "pc out of range"
-					break loop
-				}
-				if trans {
-					br.translated++
-				}
-				if ce == nil {
-					t.icache.Store(&icacheEnt{pc: int32(itgt), b: b})
-				}
-			}
-			// Slot-2 load interlock against the computed target's
-			// first instruction, the one stall the translator cannot
-			// resolve statically.
-			if o.s2wmask&b.leadReads != 0 {
-				cycles++
-				st.Stalls++
-				st.ByCat[t.slot2.Cat]++
-				if t.slot2.RTCheck {
-					st.ByRTSub[t.slot2.Sub]++
-				}
+			if ce == nil {
+				t.icache.Store(&icacheEnt{pc: int32(pc), b: b})
 			}
 		}
+		// Slot-2 load interlock against the computed target's first
+		// instruction, the one stall the translator cannot resolve
+		// statically (o.s2wmask is zero for NOP slots).
+		if o.s2wmask&b.leadReads != 0 {
+			cycles++
+			st.stall(t.slot2.Cat, t.slot2.Sub, t.slot2.RTCheck, 1)
+		}
+		continue loop
+
+	chain:
+		// The successor at pc through chain pointer ch (a terminator's
+		// tnext or fnext), filled on first use.
+		if b = ch.Load(); b != nil {
+			br.chainHits++
+			continue loop
+		}
+		if b = br.lookup(p, pc); b == nil {
+			break loop
+		}
+		ch.Store(b)
 		continue loop
 
 	sideExit:
@@ -846,7 +641,7 @@ loop:
 		m.Native.ElidedChecks += uint64(br.sb.elems[br.x.sbj].elided)
 		t = &b.term
 		if t.kind == termCond {
-			condTaken = br.x.taken
+			taken = br.x.taken
 			goto condBranch
 		}
 		goto terminator
@@ -933,18 +728,25 @@ loop:
 			mem[TrapPCAddr>>2] = uint32(br.x.fpc + 1)
 			pc = m.HW.TrapHandler
 		}
-		cycles += trapCycles
 		st.Traps++
+	trapEntry:
+		// Entering a trap handler, or returning from one (SysTrapReturn):
+		// charge the transition and test the limit, which a cancellation
+		// stops at since no pipeline state is pending.
+		cycles += trapCycles
 		if cycles > limit {
 			if limit, over, br.cancelErr = m.pollLimit(cycles); over {
-				br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
-				break loop
+				goto overLimit
 			} else if br.cancelErr != nil {
 				break loop
 			}
 		}
 		b = nil
 		continue loop
+
+	overLimit:
+		br.failf, br.failargs = "cycle limit %d exceeded", []any{m.MaxCycles}
+		break loop
 
 	slotFault:
 		// A delay slot faulted: reproduce the reference engine's exact
@@ -969,11 +771,7 @@ loop:
 				// charge it live.
 				if s1.stallsBefore(s2) {
 					cycles++
-					st.Stalls++
-					st.ByCat[s1.Cat]++
-					if s1.RTCheck {
-						st.ByRTSub[s1.Sub]++
-					}
+					st.stall(s1.Cat, s1.Sub, s1.RTCheck, 1)
 				}
 				cycles += s2.Op.Cycles()
 				pc = int(t.pc) + 2
@@ -1022,20 +820,6 @@ flush:
 	return nil
 }
 
-// memFault returns the reference engine's fault message for a misaligned
-// or out-of-range word access at addr.
-func memFault(addr uint32, isLoad bool) (string, []any) {
-	switch {
-	case isLoad && addr&3 != 0:
-		return "misaligned load at %#x", []any{addr}
-	case isLoad:
-		return "load out of range at %#x", []any{addr}
-	case addr&3 != 0:
-		return "misaligned store at %#x", []any{addr}
-	}
-	return "store out of range at %#x", []any{addr}
-}
-
 // accountPrefix re-charges instructions [start, j] one at a time after a
 // block body bailed out mid-flight: execution counts, per-instruction
 // cycles, and the load interlock between adjacent prefix instructions
@@ -1051,11 +835,7 @@ func (m *Machine) accountPrefix(start, j int, base uint64) uint64 {
 		base += in.Op.Cycles()
 		if i < j && in.stallsBefore(&ins[i+1]) {
 			base++
-			st.Stalls++
-			st.ByCat[in.Cat]++
-			if in.RTCheck {
-				st.ByRTSub[in.Sub]++
-			}
+			st.stall(in.Cat, in.Sub, in.RTCheck, 1)
 		}
 	}
 	return base
@@ -1088,11 +868,7 @@ func (m *Machine) expandBlockCtrs(counts []uint64, squashed *uint64, blockRuns, 
 				counts[i] += e
 			}
 			for _, rec := range blk.bodyStalls {
-				st.Stalls += e
-				st.ByCat[rec.cat] += e
-				if rec.rtCheck {
-					st.ByRTSub[rec.sub] += e
-				}
+				st.stall(rec.cat, rec.sub, rec.rtCheck, e)
 			}
 			*blockRuns += e
 			*steps += e * uint64(len(blk.steps))
@@ -1105,11 +881,7 @@ func (m *Machine) expandBlockCtrs(counts []uint64, squashed *uint64, blockRuns, 
 				counts[t.pc+1] += tk
 				counts[t.pc+2] += tk
 				for _, rec := range t.taken.stalls {
-					st.Stalls += tk
-					st.ByCat[rec.cat] += tk
-					if rec.rtCheck {
-						st.ByRTSub[rec.sub] += tk
-					}
+					st.stall(rec.cat, rec.sub, rec.rtCheck, tk)
 				}
 			}
 			if fl != 0 {
@@ -1119,11 +891,7 @@ func (m *Machine) expandBlockCtrs(counts []uint64, squashed *uint64, blockRuns, 
 					counts[t.pc+1] += fl
 					counts[t.pc+2] += fl
 					for _, rec := range t.fall.stalls {
-						st.Stalls += fl
-						st.ByCat[rec.cat] += fl
-						if rec.rtCheck {
-							st.ByRTSub[rec.sub] += fl
-						}
+						st.stall(rec.cat, rec.sub, rec.rtCheck, fl)
 					}
 				}
 			}
