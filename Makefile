@@ -54,12 +54,14 @@ bench-smoke:
 
 # Race-detector pass over the concurrent machinery: the runner cache and
 # single-flight, the shared compiled runtimes, context cancellation in the
-# engines, machines recycling released memory, and the whole server
-# package. The full core suite (table sweeps) is too slow under -race, so
-# core/mipsx are filtered to the concurrency tests; server runs entirely.
+# engines, machines on leased memory, and the whole server package. The
+# full core suite (table sweeps) is too slow under -race, so core/mipsx
+# are filtered to the concurrency tests; server runs entirely. The race
+# detector does not instrument leased (kernel-mapped) memory, so the
+# lease tests compare values themselves.
 .PHONY: race
 race:
-	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime|Recycle' ./internal/core ./internal/mipsx
+	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|SharedRuntime|Lease' ./internal/core ./internal/mipsx
 	$(GO) test -race ./internal/server
 
 # Coverage gate for the block loop's exits: runs the internal/mipsx and

@@ -236,7 +236,7 @@ func BuildDispatchStress() (*DispatchStress, error) {
 		if err != nil {
 			return 0, err
 		}
-		m := img.NewMachine()
+		m := img.LeaseMachine()
 		defer m.Release()
 		m.MaxCycles = 1_000_000_000
 		if err := m.Run(); err != nil {

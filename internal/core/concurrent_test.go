@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -174,15 +173,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestRecycledMachinesMatchSerial runs one image from several goroutines
-// that each construct a machine, run it, compare it with a serial run,
-// poison every other machine's memory (standing in for a program that
-// stores anywhere) and release it, so later machines reuse memory that
-// other goroutines dirtied. Every run must match the serial run bit for
-// bit, memory included. Garbage collection is off for the test: a
-// collection empties the free list, and the test is about the reuse path.
-func TestRecycledMachinesMatchSerial(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+// TestLeasedMachinesMatchSerial runs one image from several goroutines
+// that each lease a machine, run it, compare it with a serial run, poison
+// every other machine's memory (standing in for a program that stores
+// anywhere) and release it, so later leases may map pages that other
+// goroutines dirtied and released. Every run must match the serial run bit
+// for bit, memory included. The race detector does not instrument leased
+// (off-heap) memory, so the test compares values rather than relying on it.
+func TestLeasedMachinesMatchSerial(t *testing.T) {
 	img := buildEquivImage(t, programs.MustByName("comp"), Baseline(true))
 	serial := img.NewMachine()
 	if err := serial.Run(); err != nil {
@@ -191,8 +189,6 @@ func TestRecycledMachinesMatchSerial(t *testing.T) {
 
 	const workers, runs = 4, 6
 	var (
-		mu     sync.Mutex
-		bufs   = map[*uint32]int{} // backing array → machines given it
 		wg     sync.WaitGroup
 		engine = [...]mipsx.Engine{mipsx.EngineNative, mipsx.EngineTranslated}
 	)
@@ -201,13 +197,11 @@ func TestRecycledMachinesMatchSerial(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				m := img.NewMachine()
-				mu.Lock()
-				bufs[&m.Mem[0]]++
-				mu.Unlock()
+				m := img.LeaseMachine()
 				e := engine[(w+i)%len(engine)]
 				if err := m.RunEngine(e); err != nil {
 					t.Errorf("worker %d run %d (%s): %v", w, i, e, err)
+					m.Release()
 					return
 				}
 				if m.Stats != serial.Stats || m.Regs != serial.Regs || m.PC != serial.PC ||
@@ -224,8 +218,4 @@ func TestRecycledMachinesMatchSerial(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if len(bufs) == workers*runs {
-		t.Errorf("no machine reused a released buffer (%d machines, %d buffers)", workers*runs, len(bufs))
-	}
-	t.Logf("%d machines used %d buffers", workers*runs, len(bufs))
 }

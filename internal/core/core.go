@@ -414,7 +414,18 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		return nil, err
 	}
 	machStart := time.Now()
-	m := img.NewMachine()
+	var m *mipsx.Machine
+	if r.Observe != nil {
+		// An observer may hold on to the machine, so an observed run's
+		// memory stays on the heap.
+		m = img.NewMachine()
+	} else {
+		// Nothing outside this call sees m, so its memory is leased and
+		// goes back to the kernel once the result is decoded (or the run
+		// failed).
+		m = img.LeaseMachine()
+		defer m.Release()
+	}
 	tl.Record(obs.PhaseNewMachine, machStart, time.Since(machStart))
 	m.MaxCycles = r.MaxCycles
 	// Only a context that can end is worth polling; Background, TODO and
@@ -424,11 +435,6 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	}
 	if r.Observe != nil {
 		m.Obs = r.Observe(p, cfg)
-	} else {
-		// Nothing outside this call sees m, so once the result is decoded
-		// (or the run failed) its memory goes back for reuse. An observer
-		// may hold on to the machine, so an observed run keeps it.
-		defer m.Release()
 	}
 	r.Metrics.Add("runs_engine_total/"+engine.String(), 1)
 	executed := m.Executes(engine)

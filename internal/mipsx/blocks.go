@@ -237,15 +237,26 @@ func (p *Program) initTranslation() {
 	})
 }
 
-// blockAt returns the block starting at pc, translating and publishing it
-// on first use. A nil block means pc is outside the instruction stream.
-// The second result reports whether this call performed the translation.
-func (p *Program) blockAt(pc int) (*tblock, bool) {
+// blockAt returns the block starting at pc if one is published, and nil
+// if pc is outside the instruction stream or its block is not translated
+// yet (see translateAt). It is the fast path of every block lookup and
+// inlines into its callers: the lock, the timer's defer and the
+// translation stay in translateAt.
+func (p *Program) blockAt(pc int) *tblock {
+	if uint(pc) < uint(len(p.tblocks)) {
+		return p.tblocks[pc].Load()
+	}
+	return nil
+}
+
+// translateAt returns the block starting at pc, translating and
+// publishing it on first use. A nil block means pc is outside the
+// instruction stream. The second result reports whether this call
+// performed the translation (another machine may have published the
+// block first).
+func (p *Program) translateAt(pc int) (*tblock, bool) {
 	if uint(pc) >= uint(len(p.tblocks)) {
 		return nil, false
-	}
-	if b := p.tblocks[pc].Load(); b != nil {
-		return b, false
 	}
 	p.tmu.Lock()
 	defer p.tmu.Unlock()

@@ -1,18 +1,17 @@
 package mipsx
 
 import (
-	"runtime/debug"
 	"slices"
 	"testing"
-	"time"
 )
 
-// TestRecycledMemoryIsCleared poisons a machine's memory, releases it, and
-// checks that the next machine of that size gets the same buffer back,
-// cleared to what a fresh machine's memory holds. Garbage collection is off
-// for the test, since a collection may drop the weakly held free buffer.
-func TestRecycledMemoryIsCleared(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+// TestLeasedMemoryIsFresh poisons a leased machine's memory and releases
+// it: the next lease of that size must read word for word what a fresh
+// NewMachine's memory holds, and run. Release must leave Mem nil and the
+// mapping gone, a second Release must be a no-op, and releasing a
+// NewMachine machine only drops its Mem. A lease the kernel refuses (zero
+// words) falls back to the heap.
+func TestLeasedMemoryIsFresh(t *testing.T) {
 	a := NewAsm()
 	a.Bind(a.NewLabel("main"))
 	a.Halt()
@@ -20,51 +19,42 @@ func TestRecycledMemoryIsCleared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const words = 12_345 // a size no other test of the package uses
+	const words = 12_345 // not a whole number of pages
 
-	m := NewMachine(p, words, HWConfig{})
-	for i := range m.Mem {
-		m.Mem[i] = 0xdeadbeef ^ uint32(i)
-	}
-	poisoned := &m.Mem[0]
-	m.Release()
-	if m.Mem != nil {
-		t.Fatal("Release left Mem set")
-	}
-	m.Release() // a second release is a no-op
-
-	// The buffer is listed only once a background goroutine cleared it.
-	for deadline := time.Now().Add(10 * time.Second); freeMemCount(words) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("released memory never reached the free list")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	reused := NewMachine(p, words, HWConfig{})
-	if &reused.Mem[0] != poisoned {
-		t.Fatal("NewMachine did not reuse the released buffer")
-	}
 	fresh := NewMachine(p, words, HWConfig{})
-	if &fresh.Mem[0] == poisoned {
-		t.Fatal("one buffer handed to two live machines")
-	}
-	if len(reused.Mem) != len(fresh.Mem) || !slices.Equal(reused.Mem, fresh.Mem) {
-		t.Error("recycled memory differs from a fresh machine's")
-	}
-	if err := reused.Run(); err != nil || !reused.Halted() {
-		t.Errorf("run on recycled memory: %v (halted %v)", err, reused.Halted())
-	}
-}
-
-// freeMemCount is the number of free buffers of n words still listed.
-func freeMemCount(n int) int {
-	freeMem.mu.Lock()
-	defer freeMem.mu.Unlock()
-	c := 0
-	for _, e := range freeMem.by[n] {
-		if e.Value() != nil {
-			c++
+	for round := 0; round < 3; round++ {
+		m := LeaseMachine(p, words, HWConfig{})
+		if len(m.Mem) != words || !slices.Equal(m.Mem, fresh.Mem) {
+			t.Fatalf("round %d: leased memory differs from a fresh machine's", round)
 		}
+		if err := m.Run(); err != nil || !m.Halted() {
+			t.Fatalf("round %d: run on leased memory: %v (halted %v)", round, err, m.Halted())
+		}
+		for i := range m.Mem {
+			m.Mem[i] = 0xdeadbeef ^ uint32(i)
+		}
+		m.Release()
+		if m.Mem != nil || m.lease != nil {
+			t.Fatalf("round %d: Release left Mem or the lease set", round)
+		}
+		m.Release() // a second release is a no-op
 	}
-	return c
+
+	heap := NewMachine(p, words, HWConfig{})
+	mem := heap.Mem
+	heap.Mem[7] = 42
+	heap.Release()
+	if heap.Mem != nil {
+		t.Fatal("Release left a heap machine's Mem set")
+	}
+	if mem[7] != 42 {
+		t.Fatal("Release changed a heap machine's memory")
+	}
+	heap.Release()
+
+	empty := LeaseMachine(p, 0, HWConfig{})
+	if empty.lease != nil || empty.Mem == nil {
+		t.Fatalf("a refused lease was not a heap machine (lease %v, Mem %v)", empty.lease != nil, empty.Mem != nil)
+	}
+	empty.Release()
 }

@@ -186,12 +186,20 @@ type Machine struct {
 	// sbform is this machine's superblock formation scratch, allocated on
 	// its first formation (see superblock.go).
 	sbform *sbScratch
+	// lease is the kernel mapping behind Mem when LeaseMachine made the
+	// machine, unmapped by Release (see mem.go).
+	lease []uint32
 }
 
-// NewMachine creates a machine with memWords words of zeroed memory,
-// reusing the cleared memory of a released machine of the same size when
-// one is free (see Release).
+// NewMachine creates a machine with memWords words of zeroed memory on
+// the Go heap. Release is optional for it (see LeaseMachine).
 func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
+	return newMachine(prog, make([]uint32, memWords), hw)
+}
+
+// newMachine is the body NewMachine and LeaseMachine share: a machine
+// over mem, which must read zero on every word.
+func newMachine(prog *Program, mem []uint32, hw HWConfig) *Machine {
 	if hw.TrapCycles == 0 {
 		hw.TrapCycles = DefaultTrapCycles
 	}
@@ -200,7 +208,7 @@ func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
 	}
 	m := &Machine{
 		Prog:       prog,
-		Mem:        takeMem(memWords),
+		Mem:        mem,
 		PC:         prog.Entry,
 		HW:         hw,
 		pendTarget: -1,

@@ -35,7 +35,7 @@ func runSlotCase(t *testing.T, p *Program) (ref *Machine, rerr error, native *Ma
 func termKindAt(t *testing.T, p *Program, pc int) uint8 {
 	t.Helper()
 	p.initTranslation()
-	b, _ := p.blockAt(pc)
+	b, _ := p.translateAt(pc)
 	if b == nil {
 		t.Fatalf("no block at %d", pc)
 	}

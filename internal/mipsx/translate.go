@@ -182,7 +182,10 @@ type blockRun struct {
 // on first use. A nil block means pc is outside the instruction stream,
 // and the run ends with the reference engine's fault.
 func (br *blockRun) lookup(p *Program, pc int) *tblock {
-	b, trans := p.blockAt(pc)
+	if b := p.blockAt(pc); b != nil {
+		return b
+	}
+	b, trans := p.translateAt(pc)
 	if b == nil {
 		br.failf = "pc out of range"
 	} else if trans {

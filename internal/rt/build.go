@@ -444,6 +444,18 @@ const memtagStaticBudget = 1 << 19
 // zeroed with the static words and shadow run written, registers
 // initialized, trap vectors wired.
 func (img *Image) NewMachine() *mipsx.Machine {
+	return img.machine(mipsx.NewMachine)
+}
+
+// LeaseMachine is NewMachine over leased memory (mipsx.LeaseMachine): the
+// caller must call Release once nothing reads the machine's memory.
+func (img *Image) LeaseMachine() *mipsx.Machine {
+	return img.machine(mipsx.LeaseMachine)
+}
+
+// machine is the body NewMachine and LeaseMachine share; alloc makes the
+// machine over zeroed memory.
+func (img *Image) machine(alloc func(*mipsx.Program, int, mipsx.HWConfig) *mipsx.Machine) *mipsx.Machine {
 	hw := tags.HWConfig(img.Scheme, img.HW)
 	if img.HW.ArithTrap {
 		hw.TrapHandler = img.Prog.Labels["sys:trap-glue"]
@@ -456,7 +468,7 @@ func (img *Image) NewMachine() *mipsx.Machine {
 		hw.MemtagLimit = img.stackBase
 		hw.MemtagFailHandler = img.Prog.Labels["sys:memtagfail-glue"]
 	}
-	m := mipsx.NewMachine(img.Prog, img.memWords, hw)
+	m := alloc(img.Prog, img.memWords, hw)
 	copy(m.Mem, img.static)
 	for i := img.shadowLo; i < img.shadowLo+img.shadowN; i++ {
 		m.Mem[i] = 1
