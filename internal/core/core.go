@@ -85,10 +85,14 @@ type Result struct {
 	// A cached replay reports the engine of the run that filled the cache.
 	Engine mipsx.Engine
 	// Phases is the timeline of the run that produced this result:
-	// parse/compile (image-cache misses only), new-machine, execute, the
-	// JIT phases carved out of execute, and stats-flush. Cached replays
-	// return the original run's phases.
+	// parse/compile, new-machine, execute, the JIT phases carved out of
+	// execute, and stats-flush. Cached replays return the original run's
+	// phases.
 	Phases []obs.Span
+
+	// image is the snapshot of the run's image that /v1/introspect
+	// serves, taken when the run ended; the image itself is not kept.
+	image ImageIntrospection
 
 	bodyOnce sync.Once
 	body     []byte
@@ -109,14 +113,14 @@ func (res *Result) Body(encode func() []byte) []byte {
 // results are cached in an LRU keyed by (program name, Config.Key), and
 // concurrent requests for the same key are single-flighted so one
 // simulation serves every waiter and the metrics registry records each
-// unique run exactly once.
+// unique run exactly once. Only results are cached: a run's compiled
+// image lives as long as the run, since nothing simulates a key again
+// while its result is cached, so a kept image would never be reused.
 type Runner struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // key → element whose Value is *cacheEntry
 	lru      *list.List               // front = most recently used
 	inflight map[string]*flight
-	imgs     map[string]*list.Element // key → element whose Value is *imgEntry
-	imgLRU   *list.List               // front = most recently used image
 	// runtimes holds the compiled sys + lib units per key (runtimeFor).
 	runtimes map[rt.RuntimeKey]*rt.Runtime
 	// Engine selects the simulator engine for uncached runs. The zero
@@ -152,24 +156,6 @@ type cacheEntry struct {
 	res *Result
 }
 
-// imgEntry is one image-cache LRU slot. The image holds the compiled
-// program, and through it the shared translated-block cache and
-// superblock streams, so sharing it across runs of the same
-// (program, config) means compilation, block translation and superblock
-// formation each happen once per key rather than once per run. The
-// entry also accumulates the engine counters of every uncached run of
-// the key, so /v1/introspect can report chain and inline-cache hit
-// rates alongside the image's translation state.
-type imgEntry struct {
-	key     string
-	img     *rt.Image
-	program string
-	config  string
-	runs    uint64
-	trans   mipsx.TransStats
-	native  mipsx.NativeStats
-}
-
 // flight is one in-progress uncached run; waiters block on done.
 type flight struct {
 	done chan struct{}
@@ -183,8 +169,6 @@ func NewRunner() *Runner {
 		entries:   make(map[string]*list.Element),
 		lru:       list.New(),
 		inflight:  make(map[string]*flight),
-		imgs:      make(map[string]*list.Element),
-		imgLRU:    list.New(),
 		runtimes:  make(map[rt.RuntimeKey]*rt.Runtime),
 		MaxCycles: 2_000_000_000,
 		Metrics:   obs.NewRegistry(),
@@ -310,24 +294,11 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// imageFor returns the built image for key, memoized across runs. The
-// result cache holds only finished Results, so without this every
-// uncached run — including result-cache evictions and Observe-driven
-// re-runs — would recompile the program and re-translate its blocks;
-// sharing the image shares both. Concurrent builds of the same key are
-// already impossible (RunCtx single-flights per key), so a plain
-// mutex-guarded LRU suffices.
+// imageFor builds p's image under cfg on the key's shared compiled
+// runtime; key labels errors. The image is the caller's alone: a run that
+// misses the result cache builds afresh, which costs about a millisecond
+// against the run itself.
 func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.Timeline) (*rt.Image, error) {
-	r.mu.Lock()
-	if e, ok := r.imgs[key]; ok {
-		r.imgLRU.MoveToFront(e)
-		img := e.Value.(*imgEntry).img
-		r.mu.Unlock()
-		r.Metrics.Add("image_cache_hits_total", 1)
-		return img, nil
-	}
-	r.mu.Unlock()
-	r.Metrics.Add("image_cache_misses_total", 1)
 	opts := rt.BuildOptions{
 		Scheme:    cfg.Scheme,
 		HW:        cfg.HW,
@@ -345,17 +316,6 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", key, err)
 	}
-	r.mu.Lock()
-	r.imgs[key] = r.imgLRU.PushFront(&imgEntry{
-		key: key, img: img, program: p.Name, config: cfg.String(),
-	})
-	for r.CacheCap > 0 && r.imgLRU.Len() > r.CacheCap {
-		oldest := r.imgLRU.Back()
-		r.imgLRU.Remove(oldest)
-		delete(r.imgs, oldest.Value.(*imgEntry).key)
-		r.Metrics.Add("image_cache_evictions_total", 1)
-	}
-	r.mu.Unlock()
 	return img, nil
 }
 
@@ -405,8 +365,8 @@ func (r *Runner) runtimeFor(opts rt.BuildOptions, tl *obs.Timeline) (*rt.Runtime
 // carries a phase timeline (parse, compile, new-machine, translate,
 // native-compile, execute, stats-flush) recorded entirely off the
 // engines' dispatch loops: build phases come from rt.Build's hook, the
-// JIT phases from the program's cumulative compile-time counters delta'd
-// around execute.
+// JIT phases from the fresh image's cumulative compile-time counters.
+// Nothing the Runner keeps references the image once this returns.
 func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Config, key string, engine mipsx.Engine) (*Result, error) {
 	tl := obs.NewTimeline()
 	img, err := r.imageFor(p, cfg, key, tl)
@@ -438,16 +398,15 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	}
 	r.Metrics.Add("runs_engine_total/"+engine.String(), 1)
 	executed := m.Executes(engine)
-	jt0, jn0 := img.Prog.JITTimes()
 	execStart := time.Now()
 	runErr := m.RunEngine(engine)
 	tl.Record(obs.PhaseExecute, execStart, time.Since(execStart))
-	jt1, jn1 := img.Prog.JITTimes()
-	if d := jt1 - jt0; d > 0 {
-		tl.Record(obs.PhaseTranslate, execStart, d)
+	jt, jn := img.Prog.JITTimes()
+	if jt > 0 {
+		tl.Record(obs.PhaseTranslate, execStart, jt)
 	}
-	if d := jn1 - jn0; d > 0 {
-		tl.Record(obs.PhaseNativeCompile, execStart, d)
+	if jn > 0 {
+		tl.Record(obs.PhaseNativeCompile, execStart, jn)
 	}
 	if runErr != nil {
 		if isCancellation(runErr) {
@@ -471,11 +430,19 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 		Value:   value,
 		Output:  m.Output.String(),
 		Engine:  executed,
+		image: ImageIntrospection{
+			Key:     key,
+			Program: p.Name,
+			Config:  cfg.String(),
+			Runs:    1,
+			Engine:  img.Prog.Introspect(),
+			Trans:   m.Trans,
+			Native:  m.Native,
+		},
 	}
 	r.Metrics.RecordRun(metricProgram(p), metricConfig(cfg), &m.Stats)
 	r.Metrics.RecordTrans(&m.Trans)
 	r.Metrics.RecordNative(&m.Native)
-	r.noteImageRun(key, m)
 	tl.Record(obs.PhaseStatsFlush, flushStart, time.Since(flushStart))
 	res.Phases = tl.Spans()
 	for _, s := range res.Phases {
@@ -522,24 +489,10 @@ func metricConfig(cfg Config) string {
 	return "other"
 }
 
-// noteImageRun folds one completed run's engine counters into the cached
-// image's entry, so introspection can report per-(program, config) chain
-// and inline-cache hit rates accumulated across runs.
-func (r *Runner) noteImageRun(key string, m *mipsx.Machine) {
-	r.mu.Lock()
-	if e, ok := r.imgs[key]; ok {
-		ie := e.Value.(*imgEntry)
-		ie.runs++
-		ie.trans.Accumulate(&m.Trans)
-		ie.native.Accumulate(&m.Native)
-	}
-	r.mu.Unlock()
-}
-
-// ImageIntrospection is one cached image's engine internals, served by
-// GET /v1/introspect: the shared translation/native caches of the
-// memoized image plus the engine counters accumulated over every
-// uncached run of the key.
+// ImageIntrospection is the engine internals of the image behind one
+// cached result, served by GET /v1/introspect: its translated blocks and
+// superblock streams, and the engine counters of the run that produced
+// the result. Each key runs once per stay in the cache, so Runs is 1.
 type ImageIntrospection struct {
 	Key     string                    `json:"key"`
 	Program string                    `json:"program"`
@@ -550,29 +503,14 @@ type ImageIntrospection struct {
 	Native  mipsx.NativeStats         `json:"native"`
 }
 
-// IntrospectImages snapshots every cached image's engine internals, most
-// recently used first.
+// IntrospectImages returns the snapshot of every cached result's image,
+// most recently used first.
 func (r *Runner) IntrospectImages() []ImageIntrospection {
 	r.mu.Lock()
-	infos := make([]ImageIntrospection, 0, r.imgLRU.Len())
-	progs := make([]*mipsx.Program, 0, r.imgLRU.Len())
-	for e := r.imgLRU.Front(); e != nil; e = e.Next() {
-		ie := e.Value.(*imgEntry)
-		infos = append(infos, ImageIntrospection{
-			Key:     ie.key,
-			Program: ie.program,
-			Config:  ie.config,
-			Runs:    ie.runs,
-			Trans:   ie.trans,
-			Native:  ie.native,
-		})
-		progs = append(progs, ie.img.Prog)
-	}
-	r.mu.Unlock()
-	// Walking the block lists is atomic-read-only but proportional to
-	// program size, so it happens outside the runner lock.
-	for i, p := range progs {
-		infos[i].Engine = p.Introspect()
+	defer r.mu.Unlock()
+	infos := make([]ImageIntrospection, 0, r.lru.Len())
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		infos = append(infos, e.Value.(*cacheEntry).res.image)
 	}
 	return infos
 }

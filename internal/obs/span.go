@@ -7,7 +7,7 @@ import (
 )
 
 // Run phase names recorded on a Timeline. The build phases (parse,
-// compile) appear only when the run misses the image cache; new-machine
+// compile) come first, since every uncached run builds its image; new-machine
 // is the construction of the run's machine from the image (memory
 // template copy included), between build and execute; the JIT phases
 // (translate, native-compile) are carved out of execute — block

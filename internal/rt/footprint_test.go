@@ -10,8 +10,8 @@ import (
 	"repro/internal/rt"
 )
 
-// maxRetainedPerImage bounds the heap one cached image retains after a
-// native run: its single instruction array, labels, units and static
+// maxRetainedPerImage bounds the heap one image retains after a native
+// run: its single instruction array, labels, units and static
 // words, plus the translated blocks and superblock streams the run leaves
 // with the program. Measured at 354–355 KB per comp image under
 // high5+check (10 images, amd64, Go 1.24); the bound adds about 15% for
@@ -19,10 +19,11 @@ import (
 const maxRetainedPerImage = 410 << 10
 
 // TestImageFootprint builds 10 comp images from one compiled runtime, the
-// way core.Runner fills its image cache, runs each once on the native
-// engine and keeps them all alive, then charges the retained heap growth
-// to the images. Machines are dropped after their run: the cache keeps
-// images, not machines.
+// way core.Runner builds them, runs each once on the native engine and
+// keeps them all alive, then charges the retained heap growth to the
+// images. Machines are dropped after their run. core.Runner keeps no
+// image at all (its TestRunnerRetainsNoImage); this bounds what one
+// caller that does keep images pays per image.
 func TestImageFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs 10 images")

@@ -519,8 +519,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // introspectResponse is the body of GET /v1/introspect: one entry per
-// image in the runner's cache, newest-built first not guaranteed — the
-// order is the runner's iteration order, sorted by key for determinism.
+// cached result, most recently used first, each the snapshot of the image
+// that produced it.
 type introspectResponse struct {
 	Schema string                    `json:"schema"`
 	Images []core.ImageIntrospection `json:"images"`

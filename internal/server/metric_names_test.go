@@ -46,8 +46,8 @@ func TestMetricNamesGolden(t *testing.T) {
 		t.Fatalf("error-run status %d, want 422", resp.StatusCode)
 	}
 	// A deadline-canceled run, then its successful retry: the cancel
-	// counter, and an image-cache hit (the canceled run built and cached
-	// the image but not the result).
+	// counter, and a second miss (the canceled run cached nothing, so the
+	// retry builds and runs afresh).
 	if resp, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{
 		"program": "boyer", "config": "high5+check", "timeout_ms": 1,
 	}); resp.StatusCode != http.StatusGatewayTimeout {

@@ -12,9 +12,10 @@
 //	                    delivers progress events then the final report
 //	GET  /v1/programs   the benchmark inventory
 //	GET  /v1/configs    schemes, hardware flags, and the Table 2 presets
-//	GET  /v1/introspect per-cached-image engine internals (block counts,
-//	                    fusion and superblock formation, chain/inline-cache
-//	                    hit rates)
+//	GET  /v1/introspect engine internals of the image behind each cached
+//	                    result, snapshotted when its run ended (block
+//	                    counts, fusion and superblock formation,
+//	                    chain/inline-cache hit rates)
 //	GET  /healthz       liveness (503 while draining)
 //	GET  /metrics       the obs.Registry snapshot — JSON by default,
 //	                    Prometheus text format via Accept: text/plain or

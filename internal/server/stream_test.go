@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mipsx"
 	"repro/internal/programs"
+	"repro/internal/rt"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -322,8 +323,12 @@ func TestRequestID(t *testing.T) {
 }
 
 // TestIntrospectEndpoint seeds the runner with background-context runs —
-// the path tagsimd -prewarm takes — then checks /v1/introspect exposes per-image block formation, run counts
-// and chain-hit numerators for rate computation.
+// the path tagsimd -prewarm takes — then checks /v1/introspect exposes
+// per-result block formation, run counts and chain-hit numerators for rate
+// computation. The runner keeps no image, so each entry is the snapshot
+// taken when its run ended; block translation and superblock formation are
+// deterministic, so it must equal a direct build and run of the same
+// program, config and engine (the JIT times aside).
 func TestIntrospectEndpoint(t *testing.T) {
 	runner := core.NewRunner()
 	p := programs.MustByName("comp")
@@ -398,6 +403,30 @@ func TestIntrospectEndpoint(t *testing.T) {
 	}
 	if na.Engine.SBDroppedSteps == 0 {
 		t.Errorf("dataflow pass dropped no steps: %+v", na.Engine)
+	}
+
+	for _, c := range []struct {
+		cfg    core.Config
+		engine mipsx.Engine
+	}{{cfgT, mipsx.EngineTranslated}, {cfgN, mipsx.EngineNative}} {
+		img, err := rt.Build(p.Source, rt.BuildOptions{
+			Scheme: c.cfg.Scheme, HW: c.cfg.HW, Checking: c.cfg.Checking, HeapWords: p.HeapWords,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := img.NewMachine()
+		m.MaxCycles = runner.MaxCycles
+		if err := m.RunEngine(c.engine); err != nil {
+			t.Fatal(err)
+		}
+		want := img.Prog.Introspect()
+		got := byConfig[c.cfg.String()].Engine
+		want.TranslateUS, want.NativeCompileUS = 0, 0
+		got.TranslateUS, got.NativeCompileUS = 0, 0
+		if got != want {
+			t.Errorf("%s on %s: introspected %+v, direct build and run %+v", c.cfg, c.engine, got, want)
+		}
 	}
 }
 

@@ -69,6 +69,27 @@ engine_run '{"program":"rat","config":"low3+check","engine":"translated"}' trans
 engine_run '{"program":"comp","config":"low3+check","engine":"native"}' native \
     runs_engine_total/native native_superblock_runs_total
 
+# The runner keeps results, not images: /v1/introspect must still answer
+# for the three runs above from the snapshot each took when it ended, with
+# translated blocks for all three and superblock streams for the native two.
+curl -fsS "$BASE/v1/introspect" >"$OUT/introspect.json"
+python3 - "$OUT/introspect.json" <<'PY' || exit 1
+import json, sys
+images = {(i["program"], i["config"]): i for i in json.load(open(sys.argv[1]))["images"]}
+bad = []
+for prog, native in (("trav", True), ("rat", False), ("comp", True)):
+    img = images.get((prog, "low3+check"))
+    if img is None:
+        bad.append(prog + "/low3+check not listed")
+        continue
+    if img["engine"]["blocks"] <= 0:
+        bad.append(prog + "/low3+check: engine.blocks = %d" % img["engine"]["blocks"])
+    if native and img["engine"]["superblocks"] <= 0:
+        bad.append(prog + "/low3+check: engine.superblocks = %d" % img["engine"]["superblocks"])
+if bad:
+    sys.exit("introspection lost: " + ", ".join(bad))
+PY
+
 # One bounded scheme search so the search_* families are live.
 curl -fsS -X POST "$BASE/v1/search" \
     -d '{"budget":40,"top_k":3,"programs":["comp"],"variants":["check"]}' \
